@@ -401,14 +401,12 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
     else:
         store = open_store(args.store)
     images = _campaign_images(args)
-    validations = _campaign_validations(args)
-    runner = None
+    runner = FarmRunner(store, jobs=args.jobs, manifest_path=args.manifest,
+                        preemptible=args.preemptible)
     if args.preemptible:
         from repro.snapshot import preempt
 
         preempt.reset()
-        runner = FarmRunner(store, jobs=args.jobs,
-                            manifest_path=args.manifest, preemptible=True)
 
         def _drain(signum, frame):
             sys.stderr.write("SIGTERM: draining — checkpointing the "
@@ -416,38 +414,27 @@ def _cmd_farm_run(args: argparse.Namespace) -> int:
             preempt.request()
 
         signal.signal(signal.SIGTERM, _drain)
-    common = dict(
-        jobs=args.jobs,
-        manifest_path=args.manifest,
-        runner=runner,
-        max_k=args.max_k,
-        max_alternates=args.alternates,
-        seed=args.seed,
-        validations=validations,
-        preemptible=args.preemptible,
-    )
     if args.selector == "looppoint":
-        from repro.looppoint import run_looppoint_campaign
+        from repro.looppoint import run_looppoint_campaign as run_campaign
 
-        outcomes = run_looppoint_campaign(
-            images, store, slice_markers=args.slice_markers,
-            warmup_slices=args.warmup_slices, **common)
+        params = dict(slice_markers=args.slice_markers,
+                      warmup_slices=args.warmup_slices)
     else:
-        from repro.simpoint import run_pinpoints_campaign
+        from repro.simpoint import run_pinpoints_campaign as run_campaign
 
-        outcomes = run_pinpoints_campaign(
-            images, store, slice_size=args.slice_size,
-            warmup=args.warmup, **common)
+        params = dict(slice_size=args.slice_size, warmup=args.warmup)
+    outcomes = run_campaign(images, store, runner=runner, max_k=args.max_k,
+                            max_alternates=args.alternates, seed=args.seed,
+                            validations=_campaign_validations(args),
+                            **params)
     code = _report_campaign(outcomes, args.manifest)
-    if runner is not None:
-        interrupted = sorted(
-            name for name, state in runner.report.states.items()
-            if state in ("preempted", "deferred"))
-        if interrupted:
-            sys.stderr.write(
-                "campaign preempted (%d jobs deferred); re-run the same "
-                "command to resume from the store\n" % len(interrupted))
-            return 75  # EX_TEMPFAIL: partial, resumable
+    interrupted = sorted(name for name, state in runner.report.states.items()
+                         if state in ("preempted", "deferred"))
+    if interrupted:
+        sys.stderr.write(
+            "campaign preempted (%d jobs deferred); re-run the same "
+            "command to resume from the store\n" % len(interrupted))
+        return 75  # EX_TEMPFAIL: partial, resumable
     return code
 
 

@@ -14,14 +14,18 @@ package provides that substrate for the reproduction:
   ``gc`` and ``stats``,
 - :mod:`repro.farm.jobs` — dependency-ordered job graphs with
   result references and dynamic expansion,
-- :mod:`repro.farm.runner` — the executor: ``multiprocessing``
-  fan-out, store-backed memoization (a re-run with unchanged keys is a
-  cache hit), capped-backoff retries,
+- :mod:`repro.farm.runner` — the one DAG scheduler and its local
+  executor: ``multiprocessing`` fan-out, store-backed memoization (a
+  re-run with unchanged keys is a cache hit), capped-backoff retries,
+- :mod:`repro.farm.pipeline` — the one selection pipeline (profile →
+  select → log → convert → assemble → validate) behind the PinPoints
+  and LoopPoint selectors,
 - :mod:`repro.farm.manifest` — JSON-lines run manifests (one record
   per job: key, state, cache hit/miss, wall time, worker, error).
 
-The PinPoints campaign built on top lives in
-:func:`repro.simpoint.run_pinpoints_campaign`; the ``farm run`` /
+The campaigns built on top are
+:func:`repro.simpoint.run_pinpoints_campaign` and
+:func:`repro.looppoint.run_looppoint_campaign`; the ``farm run`` /
 ``farm stats`` / ``farm gc`` CLI subcommands expose it from the shell.
 """
 

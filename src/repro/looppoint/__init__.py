@@ -14,8 +14,11 @@ dynamic *loop-entry marker* crossings:
   slices, and records per-thread progress at each boundary;
 - :mod:`repro.looppoint.select` — PCA projection + the shared k-means/
   BIC clustering, with work-crossing-weighted cluster weights;
-- :mod:`repro.looppoint.driver` — direct and farm-backed pipelines
-  producing ELFies whose boundaries are marker pairs;
+- :mod:`repro.looppoint.driver` — the LoopPoint selector: the second
+  region selector behind the one selection pipeline of
+  :mod:`repro.farm.pipeline` (PinPoints is the first), with the same
+  direct driver and campaigns, producing ELFies whose boundaries are
+  marker pairs;
 - :mod:`repro.looppoint.validate` — marker-metered ELFie replay
   validation: regions are measured by counting work-marker crossings,
   so the measured window is schedule-independent.

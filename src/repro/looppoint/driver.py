@@ -1,12 +1,14 @@
-"""The LoopPoint driver: harvest, profile, cluster, capture, convert.
+"""The LoopPoint selector: harvest, profile, cluster, capture, convert.
 
-Mirrors :mod:`repro.simpoint.pinpoints` — same two driver shapes (a
-direct single-process path and a farm-backed memoized job graph), same
-capture/convert tail — but the selection stage is marker-based and the
-produced ELFies' boundaries are *marker pairs*: each captured region's
-manifest records the (module+offset, crossing-count) pair delimiting
-it, with the realized icount window used only to drive the
-deterministic logger.
+This module is the loop-marker :class:`~repro.farm.pipeline.RegionSelector`
+(:data:`LOOPPOINT`) behind the one selection pipeline of
+:mod:`repro.farm.pipeline` — the same graph, drivers and capture/convert
+tail as :mod:`repro.simpoint.pinpoints` — but the selection stage is
+marker-based and the produced ELFies' boundaries are *marker pairs*:
+each captured region's manifest records the (module+offset,
+crossing-count) pair delimiting it, with the realized icount window
+used only to drive the deterministic logger.  The marker windows go
+into each region's convert key and the result.
 
 Farm memo keys carry :data:`REGION_SELECTOR`, so LoopPoint artifacts
 and BBV-SimPoint artifacts for the same workload can never collide in
@@ -19,31 +21,33 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.markers import MarkerSpec
-from repro.core.pinball2elf import ElfieArtifact, Pinball2Elf, Pinball2ElfOptions
-from repro.farm.codec import stable_digest
-from repro.farm.jobs import Job, JobGraph, Ref
+from repro.core.pinball2elf import ElfieArtifact, Pinball2ElfOptions
+from repro.farm.jobs import JobGraph
+from repro.farm.pipeline import (
+    FarmAppOutcome,
+    FarmValidation,
+    RegionSelector,
+    SelectionResult,
+    add_selection_jobs,
+    run_campaign,
+    run_selection,
+)
 from repro.farm.runner import FarmRunner
 from repro.farm.store import ArtifactStore
-from repro.looppoint.markers import MarkerMap, MarkerPoint
+from repro.looppoint.markers import MarkerPoint
 from repro.looppoint.profile import (
     DEFAULT_SLICE_MARKERS,
     LoopPointProfile,
     collect_looppoint,
 )
 from repro.looppoint.select import LoopPointResult, select_loop_regions
-from repro.machine.vfs import FileSystem
-from repro.observe import hooks
-from repro.pinplay.logger import log_regions
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.regions import RegionSpec
-from repro.simpoint.pinpoints import (
-    FarmAppOutcome,
-    FarmValidation,
-    _capture_passes,
-    _region_spec_tuple,
-)
 
 #: Selector identity/version stamped into farm memo keys and manifests.
+#: No key carries ``MARKER_MAP_VERSION``: keys digest the image the
+#: marker map is harvested from, so bump this version when the harvest
+#: or the selection algorithm changes.
 REGION_SELECTOR = "looppoint/v1"
 
 #: Graceful-exit budget multiplier for marker-bounded ELFies.  The
@@ -62,7 +66,7 @@ MarkerWindows = Dict[str, Dict[str, Any]]
 
 
 @dataclass
-class LoopPointsResult:
+class LoopPointsResult(SelectionResult):
     """Everything the LoopPoint pipeline produced for one program.
 
     Duck-type compatible with :class:`PinPointsResult` where it
@@ -82,17 +86,6 @@ class LoopPointsResult:
     #: region name -> generated ELFie artifact.
     elfies: Dict[str, ElfieArtifact] = field(default_factory=dict)
 
-    @property
-    def primary_regions(self) -> List[RegionSpec]:
-        return [r for r in self.regions if ".alt" not in r.name]
-
-    def alternates_for(self, region: RegionSpec) -> List[RegionSpec]:
-        base = region.name.split(".alt")[0]
-        return sorted(
-            (r for r in self.regions if r.name.startswith(base + ".alt")),
-            key=lambda r: r.name,
-        )
-
     def marker_window(self, name: str) -> Tuple[Optional[MarkerPoint],
                                                 Optional[MarkerPoint]]:
         window = self.marker_windows.get(name, {})
@@ -104,8 +97,10 @@ class LoopPointsResult:
         return load("start"), load("end")
 
 
-def _window_json(selection: LoopPointResult,
-                 regions: Sequence[RegionSpec]) -> MarkerWindows:
+def _result(app_name: str, profile: LoopPointProfile,
+            selection: LoopPointResult,
+            regions: List[RegionSpec]) -> LoopPointsResult:
+    """The result before capture, with every region's marker window."""
     windows: MarkerWindows = {}
     for region in regions:
         start, end = selection.marker_window(region.name)
@@ -116,7 +111,17 @@ def _window_json(selection: LoopPointResult,
             "skip": skip,
             "measure": measure,
         }
-    return windows
+    return LoopPointsResult(app_name, profile, selection, regions,
+                            marker_windows=windows)
+
+
+LOOPPOINT = RegionSelector(
+    name=REGION_SELECTOR, tag="", infix=".L",
+    slice_param="slice_markers", warmup_param="warmup_slices",
+    options=Pinball2ElfOptions(perf_exit=True,
+                               marker=MarkerSpec("sniper", 0x100),
+                               perf_exit_slack=PERF_EXIT_SLACK),
+    profile=collect_looppoint, select=select_loop_regions, result=_result)
 
 
 def run_looppoint(image: bytes, app_name: str,
@@ -124,107 +129,13 @@ def run_looppoint(image: bytes, app_name: str,
                   warmup_slices: int = 1,
                   max_k: int = 50,
                   seed: int = 0,
-                  fs: Optional[FileSystem] = None,
                   max_alternates: int = 2,
-                  capture: bool = True,
-                  make_elfies: bool = True,
-                  marker: Optional[MarkerSpec] = None,
-                  perf_exit: bool = True,
-                  cluster_seed: int = 42,
-                  marker_map: Optional[MarkerMap] = None) -> LoopPointsResult:
+                  cluster_seed: int = 42) -> LoopPointsResult:
     """Run the full LoopPoint pipeline on *image* (direct path)."""
-    obs = hooks.OBS
-    with obs.span("looppoint.profile", "looppoint", app=app_name):
-        profile = collect_looppoint(image, slice_markers=slice_markers,
-                                    seed=seed, fs=fs, marker_map=marker_map)
-    with obs.span("looppoint.cluster", "looppoint", app=app_name):
-        selection = select_loop_regions(profile, max_k=max_k,
-                                        seed=cluster_seed)
-    regions = selection.regions(warmup_slices=warmup_slices,
-                                name_prefix="%s.L" % app_name,
-                                max_alternates=max_alternates)
-    result = LoopPointsResult(
-        app_name=app_name,
-        profile=profile,
-        selection=selection,
-        regions=regions,
-        marker_windows=_window_json(selection, regions),
-    )
-    if not capture:
-        return result
-    marker = marker or MarkerSpec("sniper", 0x100)
-    with obs.span("looppoint.capture", "looppoint", app=app_name):
-        for group in _capture_passes(regions, profile.total_icount):
-            pinballs = log_regions(image, group, seed=seed, fs=fs)
-            for name, pinball in pinballs.items():
-                pinball.program_icount = profile.total_icount
-                result.pinballs[name] = pinball
-                if make_elfies:
-                    with obs.span("looppoint.convert", "looppoint",
-                                  region=name):
-                        artifact = Pinball2Elf(
-                            pinball,
-                            Pinball2ElfOptions(
-                                perf_exit=perf_exit,
-                                perf_exit_slack=PERF_EXIT_SLACK,
-                                marker=marker),
-                        ).convert()
-                    result.elfies[name] = artifact
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Farm-backed driver.
-# ---------------------------------------------------------------------------
-
-
-def _job_profile(image: bytes, slice_markers: int,
-                 seed: int) -> LoopPointProfile:
-    return collect_looppoint(image, slice_markers=slice_markers, seed=seed)
-
-
-def _job_select(profile: LoopPointProfile, max_k: int,
-                cluster_seed: int) -> LoopPointResult:
-    return select_loop_regions(profile, max_k=max_k, seed=cluster_seed)
-
-
-def _job_log_group(image: bytes, regions: Sequence[RegionSpec], seed: int,
-                   program_icount: int) -> Dict[str, Pinball]:
-    pinballs = log_regions(image, regions, seed=seed)
-    for pinball in pinballs.values():
-        pinball.program_icount = program_icount
-    return pinballs
-
-
-def _job_convert(pinball: Optional[Pinball], perf_exit: bool,
-                 marker_type: str, marker_tag: int) -> Optional[ElfieArtifact]:
-    if pinball is None:
-        return None
-    options = Pinball2ElfOptions(
-        perf_exit=perf_exit, perf_exit_slack=PERF_EXIT_SLACK,
-        marker=MarkerSpec(marker_type, marker_tag))
-    return Pinball2Elf(pinball, options).convert()
-
-
-def _job_assemble(app_name: str, profile: LoopPointProfile,
-                  selection: LoopPointResult, regions: List[RegionSpec],
-                  windows: MarkerWindows,
-                  groups: List[Dict[str, Pinball]],
-                  elfies: Dict[str, Optional[ElfieArtifact]],
-                  ) -> LoopPointsResult:
-    result = LoopPointsResult(app_name=app_name, profile=profile,
-                              selection=selection, regions=regions,
-                              marker_windows=windows)
-    for group in groups:
-        result.pinballs.update(group)
-    result.elfies = {name: artifact for name, artifact in elfies.items()
-                     if artifact is not None}
-    return result
-
-
-def _job_validate(fn, result: LoopPointsResult, image: bytes,
-                  params: Dict[str, Any]) -> Any:
-    return fn(result, image, **params)
+    return run_selection(LOOPPOINT, image, app_name, slice_len=slice_markers,
+                         warmup=warmup_slices, max_k=max_k, seed=seed,
+                         max_alternates=max_alternates,
+                         cluster_seed=cluster_seed)
 
 
 def add_looppoint_jobs(graph: JobGraph, image: bytes, app_name: str,
@@ -233,127 +144,17 @@ def add_looppoint_jobs(graph: JobGraph, image: bytes, app_name: str,
                        max_k: int = 50,
                        seed: int = 0,
                        max_alternates: int = 2,
-                       marker: Optional[MarkerSpec] = None,
-                       perf_exit: bool = True,
                        cluster_seed: int = 42,
                        validations: Sequence[FarmValidation] = ()) -> str:
     """Add one app's LoopPoint pipeline to a campaign graph.
 
-    Same graph shape as :func:`add_pinpoints_jobs` (profile -> select
-    -> expand into log/convert/assemble/validate); every memo key
-    leads with :data:`REGION_SELECTOR` and the marker-map version, so
-    selector pipelines never share cache entries.
+    See :func:`repro.farm.pipeline.add_selection_jobs` for the graph
+    and its memo keys.  Returns the name of the app's assemble job
+    (whose result is the :class:`LoopPointsResult`).
     """
-    marker = marker or MarkerSpec("sniper", 0x100)
-    workload_key = stable_digest({"image": image, "app": app_name,
-                                  "selector": REGION_SELECTOR})
-    profile_name = "%s/profile" % app_name
-    select_name = "%s/select" % app_name
-    graph.add(Job(
-        name=profile_name,
-        fn=_job_profile,
-        args=(image, slice_markers, seed),
-        key=stable_digest([REGION_SELECTOR, "profile", workload_key,
-                           slice_markers, seed]),
-        stage="profile",
-        selector=REGION_SELECTOR,
-    ))
-
-    pipeline_spec = {
-        "selector": REGION_SELECTOR,
-        "workload": workload_key,
-        "slice_markers": slice_markers, "warmup_slices": warmup_slices,
-        "max_k": max_k,
-        "seed": seed, "cluster_seed": cluster_seed,
-        "max_alternates": max_alternates,
-        "marker": [marker.marker_type, marker.tag],
-        "perf_exit": perf_exit,
-        "log": {"fat": True},
-    }
-
-    def expand_selection(selection: LoopPointResult, graph: JobGraph,
-                         results: Dict[str, Any]) -> None:
-        profile = results[profile_name]
-        regions = selection.regions(warmup_slices=warmup_slices,
-                                    name_prefix="%s.L" % app_name,
-                                    max_alternates=max_alternates)
-        windows = _window_json(selection, regions)
-        passes = _capture_passes(regions, profile.total_icount)
-        group_names: List[str] = []
-        convert_refs: Dict[str, Ref] = {}
-        for index, group in enumerate(passes):
-            group_name = "%s/log%d" % (app_name, index)
-            graph.add(Job(
-                name=group_name,
-                fn=_job_log_group,
-                args=(image, list(group), seed, profile.total_icount),
-                key=stable_digest([REGION_SELECTOR, "log", workload_key,
-                                   seed, {"fat": True},
-                                   [_region_spec_tuple(r) for r in group]]),
-                kind="pinballs",
-                deps=(select_name,),
-                stage="log",
-                selector=REGION_SELECTOR,
-            ))
-            group_names.append(group_name)
-            for region in group:
-                convert_name = "%s/convert/%s" % (app_name, region.name)
-                graph.add(Job(
-                    name=convert_name,
-                    fn=_job_convert,
-                    args=(Ref(group_name,
-                              select=lambda pbs, n=region.name: pbs.get(n)),
-                          perf_exit, marker.marker_type, marker.tag),
-                    key=stable_digest([REGION_SELECTOR, "elfie",
-                                       workload_key,
-                                       _region_spec_tuple(region),
-                                       windows[region.name], seed,
-                                       {"fat": True},
-                                       {"perf_exit": perf_exit,
-                                        "slack": PERF_EXIT_SLACK,
-                                        "marker": [marker.marker_type,
-                                                   marker.tag]}]),
-                    stage="convert",
-                    selector=REGION_SELECTOR,
-                ))
-                convert_refs[region.name] = Ref(convert_name)
-        assemble_name = "%s/assemble" % app_name
-        graph.add(Job(
-            name=assemble_name,
-            fn=_job_assemble,
-            args=(app_name, Ref(profile_name), Ref(select_name),
-                  list(regions), windows,
-                  [Ref(name) for name in group_names], convert_refs),
-            local=True,
-            stage="assemble",
-            selector=REGION_SELECTOR,
-        ))
-        for validation in validations:
-            graph.add(Job(
-                name="%s/validate/%s" % (app_name, validation.label),
-                fn=_job_validate,
-                args=(validation.fn, Ref(assemble_name), image,
-                      dict(validation.params)),
-                key=stable_digest([REGION_SELECTOR, "validate",
-                                   pipeline_spec, validation.label,
-                                   "%s.%s" % (validation.fn.__module__,
-                                              validation.fn.__qualname__),
-                                   validation.params]),
-                stage="validate",
-                selector=REGION_SELECTOR,
-            ))
-
-    graph.add(Job(
-        name=select_name,
-        fn=_job_select,
-        args=(Ref(profile_name), max_k, cluster_seed),
-        key=stable_digest([REGION_SELECTOR, "select", workload_key,
-                           slice_markers, seed, max_k, cluster_seed]),
-        stage="cluster",
-        expand=expand_selection,
-        selector=REGION_SELECTOR,
-    ))
-    return "%s/assemble" % app_name
+    return add_selection_jobs(graph, LOOPPOINT, image, app_name,
+                              slice_markers, warmup_slices, max_k, seed,
+                              max_alternates, cluster_seed, validations)
 
 
 def run_looppoint_campaign(images: Dict[str, bytes],
@@ -366,43 +167,16 @@ def run_looppoint_campaign(images: Dict[str, bytes],
                            max_k: int = 50,
                            seed: int = 0,
                            max_alternates: int = 2,
-                           marker: Optional[MarkerSpec] = None,
-                           perf_exit: bool = True,
                            cluster_seed: int = 42,
                            validations: Sequence[FarmValidation] = (),
                            preemptible: bool = False,
                            ) -> Dict[str, FarmAppOutcome]:
     """Run the LoopPoint pipeline for several apps through the farm."""
-    obs = hooks.OBS
-    with obs.span("campaign.build", "farm", apps=sorted(images),
-                  selector=REGION_SELECTOR):
-        graph = JobGraph()
-        for app_name, image in images.items():
-            add_looppoint_jobs(graph, image, app_name,
-                               slice_markers=slice_markers,
-                               warmup_slices=warmup_slices,
-                               max_k=max_k, seed=seed,
-                               max_alternates=max_alternates, marker=marker,
-                               perf_exit=perf_exit, cluster_seed=cluster_seed,
-                               validations=validations)
     if runner is None:
         runner = FarmRunner(store, jobs=jobs, manifest_path=manifest_path,
                             preemptible=preemptible)
-    with obs.span("campaign.run", "farm", apps=sorted(images),
-                  workers=runner.jobs, selector=REGION_SELECTOR):
-        results = runner.run(graph, strict=not preemptible)
-    outcomes: Dict[str, FarmAppOutcome] = {}
-    for app_name in images:
-        assembled = results.get("%s/assemble" % app_name)
-        if assembled is None:
-            continue
-        outcomes[app_name] = FarmAppOutcome(
-            result=assembled,
-            validations={
-                validation.label:
-                    results["%s/validate/%s" % (app_name, validation.label)]
-                for validation in validations
-                if "%s/validate/%s" % (app_name, validation.label) in results
-            },
-        )
-    return outcomes
+    return run_campaign(LOOPPOINT, images, runner, validations,
+                        slice_len=slice_markers, warmup=warmup_slices,
+                        max_k=max_k, seed=seed,
+                        max_alternates=max_alternates,
+                        cluster_seed=cluster_seed)

@@ -29,7 +29,7 @@ instruction rates together.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.elfie import prepare_elfie_machine
 from repro.core.pinball2elf import ElfieArtifact
@@ -40,6 +40,7 @@ from repro.pinplay.regions import RegionSpec
 from repro.simpoint.validation import (
     RegionMeasurement,
     ValidationResult,
+    validate_regions,
 )
 
 
@@ -182,63 +183,19 @@ def validate_looppoint(result, seed: int = 0, trials: int = 3,
     counts from ``result.marker_windows``), not by icount.
     """
     work_addrs = result.profile.marker_map.work_addresses()
-    validation = LoopPointValidation(
-        app_name=result.app_name,
-        whole_program_cpi=result.profile.whole_program_cpi,
-    )
-    for region in result.primary_regions:
-        validation.measurements.append(_measure_with_alternates(
-            result, region, work_addrs, seed=seed, trials=trials, fs=fs,
-            use_alternates=use_alternates))
-    return validation
 
+    def measure(artifact: ElfieArtifact, region: RegionSpec,
+                seed: int) -> Optional[RegionMeasurement]:
+        crossings = _region_crossings(result.marker_windows, region.name)
+        if crossings is None:
+            return None
+        skip, count = crossings
+        return measure_elfie_region_markers(
+            artifact, region, work_addrs, skip=skip, measure=count,
+            seed=seed, fs=fs)
 
-def _measure_with_alternates(result, region: RegionSpec, work_addrs,
-                             seed: int, trials: int,
-                             fs: Optional[FileSystem],
-                             use_alternates: bool) -> RegionMeasurement:
-    candidates = [region]
-    if use_alternates:
-        candidates += result.alternates_for(region)
-    last: Optional[RegionMeasurement] = None
-    for candidate in candidates:
-        artifact = result.elfies.get(candidate.name)
-        crossings = _region_crossings(result.marker_windows, candidate.name)
-        if artifact is None or crossings is None:
-            continue
-        skip, measure = crossings
-        runs: List[RegionMeasurement] = []
-        failure: Optional[RegionMeasurement] = None
-        for trial in range(trials):
-            measurement = measure_elfie_region_markers(
-                artifact, candidate, work_addrs, skip=skip, measure=measure,
-                seed=seed + trial * 101, fs=fs)
-            if measurement.ok:
-                runs.append(measurement)
-            else:
-                failure = measurement
-                break
-        if runs and failure is None:
-            n = len(runs)
-            return RegionMeasurement(
-                region=RegionSpec(
-                    start=candidate.start, length=candidate.length,
-                    warmup=candidate.warmup, name=candidate.name,
-                    weight=region.weight,
-                ),
-                cpi=sum(m.cpi for m in runs) / n,
-                ok=True,
-                used_alternate=(candidate.name
-                                if candidate.name != region.name else None),
-                cycles_per_work=sum(m.cycles_per_work for m in runs) / n,
-                icount_per_work=sum(m.icount_per_work for m in runs) / n,
-            )
-        last = failure
-    if last is not None:
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=last.detail)
-    return RegionMeasurement(region=region, cpi=None, ok=False,
-                             detail="no ELFie available")
+    return validate_regions(LoopPointValidation, result, measure, seed=seed,
+                            trials=trials, use_alternates=use_alternates)
 
 
 def _validate_looppoint_job(result, image, **params):
@@ -252,7 +209,7 @@ def looppoint_validation(label: str = "elfie-markers", seed: int = 0,
     The LoopPoint analogue of
     :func:`repro.simpoint.pinpoints.elfie_validation`.
     """
-    from repro.simpoint.pinpoints import FarmValidation
+    from repro.farm.pipeline import FarmValidation
     return FarmValidation(
         label=label,
         fn=_validate_looppoint_job,

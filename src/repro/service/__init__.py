@@ -12,8 +12,8 @@ Turns the local :mod:`repro.farm` into a shared service:
 - :mod:`repro.service.server` / :mod:`repro.service.client` /
   :mod:`repro.service.worker` — the asyncio endpoint, the blocking
   client, and the pull-based worker loop;
-- :mod:`repro.service.campaign` — the service twin of the farm runner,
-  bit-identical to ``farm run``.
+- :mod:`repro.service.campaign` — the service executor behind the one
+  DAG scheduler, bit-identical to ``farm run``.
 """
 
 from repro.service.campaign import ServiceCampaignRunner, run_service_campaign

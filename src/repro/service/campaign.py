@@ -1,12 +1,14 @@
 """Drive a farm job graph through the checkpoint service.
 
-:class:`ServiceCampaignRunner` is the networked sibling of
-:class:`repro.farm.runner.FarmRunner`, and keeps its exact semantics:
+:class:`ServiceCampaignRunner` is the service executor behind the one
+campaign scheduler, :class:`repro.farm.runner.DagRunner`, so it keeps
+``farm run``'s exact semantics by construction:
 
 - the **DAG stays in the client**: dependency tracking, ``Ref``
   resolution (including ``select`` lambdas, which are not picklable and
   never cross the wire), ``local`` jobs, and ``expand`` callbacks all
-  run here — the server only ever sees flat, self-contained jobs;
+  run in the scheduler — the server only ever sees flat, self-contained
+  jobs;
 - resolved arguments ship with the submit, results come back through
   the content-addressed store, so a job's bytes-in/bytes-out are
   identical to the multiprocessing path — which is what makes service
@@ -14,8 +16,8 @@
 - memoization is server-side (``status: "cached"``) against the shared
   store, plus in-flight dedup: two clients racing the same campaign
   share single executions and both fetch the same artifacts;
-- every terminal state appends the same manifest record
-  ``farm run`` writes, so downstream tooling cannot tell the paths
+- every terminal state appends the manifest record, counters and trace
+  span ``farm run`` emits, so downstream tooling cannot tell the paths
   apart.
 
 Failures follow the server's retry policy (lease expiry re-queues, N
@@ -27,222 +29,92 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
-from repro.farm.jobs import Job, JobGraph, resolve_refs
-from repro.farm.manifest import RunManifest
-from repro.farm.runner import CampaignError, RunReport, _job_icount
-from repro.observe import hooks
+from repro.farm.jobs import Job
+from repro.farm.runner import DagRunner, Settled, _miss
 from repro.service.client import ServiceClient, ServiceError
 
 #: How long one ``wait`` long-poll blocks server-side.
 _WAIT_SLICE_S = 0.5
 
 
-class ServiceCampaignRunner:
-    """Executes :class:`JobGraph`s against a checkpoint service."""
+class ServiceCampaignRunner(DagRunner):
+    """The service executor: jobs run on the service's workers."""
+
+    category = "service"
 
     def __init__(self, client: ServiceClient,
                  manifest_path: Optional[str] = None,
                  run_id: str = "", priority: int = 0,
                  retries: Optional[int] = None) -> None:
+        super().__init__(manifest_path)
         self.client = client
-        self.manifest = RunManifest(manifest_path) if manifest_path else None
         self.run_id = run_id or ("run-%d-%d" % (os.getpid(),
                                                 int(time.time() * 1000)))
         self.priority = priority
         self.retries = retries
-        self.report = RunReport()
-
-    # -- manifest (same record shape as FarmRunner._record) ----------------
-
-    def _record(self, job: Job, state: str, cache: str, wall_s: float,
-                worker: Any, attempts: int, error: str = "",
-                icount: Optional[int] = None) -> None:
-        self.report.states[job.name] = state
-        self.report.cache[job.name] = cache
-        if state != "ok":
-            self.report.failures[job.name] = error or state
-        wall = round(wall_s, 6)
-        if self.manifest is not None:
-            self.manifest.append({
-                "job": job.name,
-                "stage": job.stage,
-                "key": job.key,
-                "state": state,
-                "cache": cache,
-                "wall_s": wall,
-                "worker": worker,
-                "attempts": attempts,
-                "error": error,
-                "icount": icount,
-            })
-        obs = hooks.OBS
-        if obs.enabled:
-            obs.count("farm.jobs")
-            obs.count("farm.cache.%s" % cache)
-            if state != "ok":
-                obs.count("farm.%s" % state)
-            if wall:
-                obs.observe("farm.job_wall_s", wall)
-
-    # -- execution ---------------------------------------------------------
-
-    def run(self, graph: JobGraph, strict: bool = True) -> Dict[str, Any]:
-        """Run every job via the service; returns ``{name: result}``."""
-        self.report = RunReport()
-        results: Dict[str, Any] = {}
-        done: Dict[str, str] = {}      # name -> ok|failed|blocked
-        inflight: Dict[str, dict] = {}  # name -> {job_id, result_key}
-        while True:
-            progressed = self._schedule(graph, results, done, inflight)
-            progressed |= self._collect(graph, results, done, inflight)
-            remaining = [name for name in graph.order() if name not in done]
-            if not remaining and not inflight:
-                break
-            if not progressed and not inflight:
-                # jobs remain but none can ever become ready
-                for name in remaining:
-                    self._record(graph.jobs[name], "blocked", "none",
-                                 0.0, None, 0, "dependency never completed")
-                    done[name] = "blocked"
-                break
-        if strict and self.report.failures:
-            raise CampaignError(dict(self.report.failures))
-        return results
-
-    def _ready(self, graph: JobGraph, done: Dict[str, str],
-               inflight: Dict[str, dict]) -> List[Job]:
-        ready: List[Job] = []
-        for name in graph.order():
-            if name in done or name in inflight:
-                continue
-            job = graph.jobs[name]
-            dep_states = [done.get(dep) for dep in job.deps]
-            if any(state in ("failed", "blocked") for state in dep_states):
-                self._record(job, "blocked", "none", 0.0, None, 0,
-                             "upstream failure: %s" % ", ".join(
-                                 dep for dep in job.deps
-                                 if done.get(dep) in ("failed", "blocked")))
-                done[name] = "blocked"
-                continue
-            if all(state == "ok" for state in dep_states):
-                ready.append(job)
-        return ready
+        self._inflight: Dict[str, dict] = {}
 
     def _result_key(self, job: Job) -> str:
         # keyless jobs still need a store slot for the wire round trip;
         # scope it to this run so concurrent campaigns cannot collide
         return job.key or "svc/%s/%s" % (self.run_id, job.name)
 
-    def _schedule(self, graph: JobGraph, results: Dict[str, Any],
-                  done: Dict[str, str], inflight: Dict[str, dict]) -> bool:
-        progressed = False
-        for job in self._ready(graph, done, inflight):
-            args = resolve_refs(job.args, results)
-            kwargs = resolve_refs(job.kwargs, results)
-            if job.local:
-                self._run_local(job, args, kwargs, results, done, graph)
-                progressed = True
-                continue
-            response = self.client.submit(
-                name=job.name, fn=job.fn, args=args, kwargs=kwargs,
-                key=job.key, result_key=self._result_key(job),
-                kind=job.kind, stage=job.stage, priority=self.priority,
-                retries=job.retries if job.retries is not None
-                else self.retries)
-            status = response["status"]
-            if status == "cached":
-                if self._serve_cached(job, results, done, graph):
-                    progressed = True
-                    continue
-                # corrupt cache entry: force a recompute
-                response = self.client.submit(
-                    name=job.name, fn=job.fn, args=args, kwargs=kwargs,
-                    key=job.key, result_key=self._result_key(job),
-                    kind=job.kind, stage=job.stage, priority=self.priority,
-                    retries=job.retries if job.retries is not None
-                    else self.retries, force=True)
-                status = response["status"]
-            inflight[job.name] = {
-                "job_id": response["job"]["job_id"],
-                "result_key": self._result_key(job),
-                "duplicate": status == "duplicate",
-            }
-            progressed = True
-        return progressed
+    def _submit(self, job: Job, args: tuple, kwargs: dict,
+                force: bool = False) -> dict:
+        return self.client.submit(
+            name=job.name, fn=job.fn, args=args, kwargs=kwargs,
+            key=job.key, result_key=self._result_key(job),
+            kind=job.kind, stage=job.stage, priority=self.priority,
+            retries=job.retries if job.retries is not None
+            else self.retries, force=force)
 
-    def _serve_cached(self, job: Job, results: Dict[str, Any],
-                      done: Dict[str, str], graph: JobGraph) -> bool:
-        try:
-            result = self.client.get_artifact(job.key)
-        except ServiceError:
-            return False  # damaged entry must never poison a campaign
-        results[job.name] = result
-        done[job.name] = "ok"
-        self._record(job, "ok", "hit", 0.0, None, 0)
-        self._finish(job, result, graph, results)
-        return True
+    def _start(self, job: Job, args: tuple,
+               kwargs: dict) -> Optional[Settled]:
+        if job.local:
+            return self._run_inline(job, args, kwargs)
+        response = self._submit(job, args, kwargs)
+        if response["status"] == "cached":
+            try:
+                return Settled(job, "ok", "hit",
+                               self.client.get_artifact(job.key))
+            except ServiceError:
+                # a damaged entry must never poison a campaign: force a
+                # recompute
+                response = self._submit(job, args, kwargs, force=True)
+        self._inflight[job.name] = {
+            "job": job,
+            "job_id": response["job"]["job_id"],
+            "duplicate": response["status"] == "duplicate",
+        }
+        return None
 
-    def _run_local(self, job: Job, args: tuple, kwargs: dict,
-                   results: Dict[str, Any], done: Dict[str, str],
-                   graph: JobGraph) -> None:
-        start = time.perf_counter()
-        try:
-            result = job.fn(*args, **kwargs)
-        except Exception as exc:
-            done[job.name] = "failed"
-            self._record(job, "failed", "miss" if job.key else "none",
-                         0.0, os.getpid(), 1,
-                         "%s: %s" % (type(exc).__name__, exc))
+    def _poll(self) -> Iterator[Settled]:
+        if not self._inflight:
             return
-        wall = time.perf_counter() - start
-        if job.key:
-            self.client.put_artifact(job.key, result, job.kind)
-        results[job.name] = result
-        done[job.name] = "ok"
-        self._record(job, "ok", "miss" if job.key else "none", wall,
-                     os.getpid(), 1, icount=_job_icount(result))
-        self._finish(job, result, graph, results)
-
-    def _collect(self, graph: JobGraph, results: Dict[str, Any],
-                 done: Dict[str, str], inflight: Dict[str, dict]) -> bool:
-        if not inflight:
-            return False
         states = self.client.wait(
-            [entry["job_id"] for entry in inflight.values()],
+            [entry["job_id"] for entry in self._inflight.values()],
             timeout_s=_WAIT_SLICE_S)
-        progressed = False
-        for name in list(inflight):
-            entry = inflight[name]
+        for name, entry in list(self._inflight.items()):
             view = states.get(entry["job_id"])
             if view is None or view["state"] in ("queued", "leased"):
                 continue
-            del inflight[name]
-            progressed = True
-            job = graph.jobs[name]
-            cache = "miss" if job.key else "none"
-            if entry["duplicate"]:
-                cache = "hit" if job.key else cache
-            if view["state"] == "ok":
-                result = self.client.get_artifact(entry["result_key"])
-                results[name] = result
-                done[name] = "ok"
-                self._record(job, "ok", cache, view.get("wall_s", 0.0),
-                             view.get("worker"), view.get("attempts", 1),
-                             icount=view.get("icount"))
-                self._finish(job, result, graph, results)
-            else:
-                done[name] = "failed"
-                self._record(job, "failed", cache, view.get("wall_s", 0.0),
-                             view.get("worker"), view.get("attempts", 1),
-                             view.get("error") or view["state"])
-        return progressed
+            del self._inflight[name]
+            job = entry["job"]
+            ok = view["state"] == "ok"
+            yield Settled(
+                job, "ok" if ok else "failed",
+                "hit" if entry["duplicate"] and job.key else _miss(job),
+                result=self.client.get_artifact(self._result_key(job))
+                if ok else None,
+                wall_s=view.get("wall_s", 0.0), worker=view.get("worker"),
+                attempts=view.get("attempts", 1), icount=view.get("icount"),
+                error="" if ok else view.get("error") or view["state"])
 
-    def _finish(self, job: Job, result: Any, graph: JobGraph,
-                results: Dict[str, Any]) -> None:
-        if job.expand is not None:
-            job.expand(result, graph, results)
+    def _save(self, job: Job, result: Any) -> None:
+        if job.key:
+            self.client.put_artifact(job.key, result, job.kind)
 
 
 def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,
@@ -253,43 +125,22 @@ def run_service_campaign(images: Dict[str, bytes], client: ServiceClient,
                          max_k: int = 50,
                          seed: int = 0,
                          max_alternates: int = 2,
-                         marker: Any = None,
-                         perf_exit: bool = True,
                          cluster_seed: int = 42,
                          validations: Sequence[Any] = ()) -> Dict[str, Any]:
     """Run the PinPoints pipeline for several apps through the service.
 
-    The service twin of
-    :func:`repro.simpoint.pinpoints.run_pinpoints_campaign`: the same
-    graph, the same keys, the same results — executed by remote workers
-    against the shared sharded store instead of a local pool.  Returns
-    ``{app: FarmAppOutcome}``.
+    The shared campaign of
+    :func:`repro.simpoint.pinpoints.run_pinpoints_campaign` on the
+    service executor: the same graph, the same keys, the same results —
+    executed by remote workers against the shared sharded store instead
+    of a local pool.  Returns ``{app: FarmAppOutcome}``.
     """
-    from repro.simpoint.pinpoints import FarmAppOutcome, add_pinpoints_jobs
+    from repro.farm.pipeline import run_campaign
+    from repro.simpoint.pinpoints import PINPOINTS
 
-    obs = hooks.OBS
-    with obs.span("campaign.build", "service", apps=sorted(images)):
-        graph = JobGraph()
-        for app_name, image in images.items():
-            add_pinpoints_jobs(graph, image, app_name,
-                               slice_size=slice_size, warmup=warmup,
-                               max_k=max_k, seed=seed,
-                               max_alternates=max_alternates, marker=marker,
-                               perf_exit=perf_exit,
-                               cluster_seed=cluster_seed,
-                               validations=validations)
     runner = ServiceCampaignRunner(client, manifest_path=manifest_path,
                                    run_id=run_id, priority=priority)
-    with obs.span("campaign.run", "service", apps=sorted(images)):
-        results = runner.run(graph)
-    return {
-        app_name: FarmAppOutcome(
-            result=results["%s/assemble" % app_name],
-            validations={
-                validation.label:
-                    results["%s/validate/%s" % (app_name, validation.label)]
-                for validation in validations
-            },
-        )
-        for app_name in images
-    }
+    return run_campaign(PINPOINTS, images, runner, validations,
+                        slice_len=slice_size, warmup=warmup, max_k=max_k,
+                        seed=seed, max_alternates=max_alternates,
+                        cluster_seed=cluster_seed)

@@ -9,12 +9,14 @@ This package provides the full selection pipeline:
   BIC model selection (maxK),
 - :mod:`repro.simpoint.simpoint` -- representative and alternate slice
   selection with weights,
-- :mod:`repro.simpoint.pinpoints` -- the end-to-end PinPoints driver
-  (profile, cluster, capture a fat pinball per representative), both
-  direct and farm-backed (parallel, store-memoized campaigns),
+- :mod:`repro.simpoint.pinpoints` -- the PinPoints selector: one of
+  the two region selectors behind the one selection pipeline of
+  :mod:`repro.farm.pipeline` (profile, cluster, capture a fat pinball
+  per representative, convert), with its direct driver and its
+  store-memoized campaigns, local or through the service,
 - :mod:`repro.simpoint.validation` -- prediction-error computation,
   ELFie-based and simulation-based validation, coverage with
-  alternates.
+  alternates (the trials-and-alternates loop is shared with LoopPoint).
 """
 
 from repro.simpoint.bbv import BBVProfile, collect_bbv

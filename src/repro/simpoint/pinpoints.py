@@ -1,35 +1,38 @@
-"""The PinPoints driver: profile, cluster, capture, convert (paper §IV-A).
+"""The PinPoints selector: profile, cluster, capture, convert (paper §IV-A).
 
 PinPoints automates "profiling an x86 application, finding phases, and
 creating a checkpoint called a pinball for each representative region".
-This module runs that pipeline on the simulated platform and optionally
-converts every pinball to an ELFie.
+This module is the BBV-SimPoint :class:`~repro.farm.pipeline.RegionSelector`
+(:data:`PINPOINTS`) behind the one selection pipeline of
+:mod:`repro.farm.pipeline`, plus its public drivers:
 
-Two driver paths produce identical results:
-
-- :func:`run_pinpoints` — the direct path: one process, one app,
-  everything recomputed from scratch;
+- :func:`run_pinpoints` — the direct path: the pipeline's job graph run
+  inline in one process, with no store;
 - :func:`run_pinpoints_campaign` / :func:`run_pinpoints_farm` — the
-  farm-backed path: the pipeline is decomposed into dependency-ordered
-  jobs (profile → cluster → log regions → pinball2elf → validate),
-  fanned across a worker pool, and memoized through a content-addressed
-  artifact store so a re-run with unchanged inputs is a cache hit.
+  same graph (profile → cluster → log regions → pinball2elf → validate)
+  fanned across a worker pool and memoized through a content-addressed
+  artifact store, so a re-run with unchanged inputs is a cache hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.markers import MarkerSpec
-from repro.core.pinball2elf import ElfieArtifact, Pinball2Elf, Pinball2ElfOptions
-from repro.farm.codec import stable_digest
-from repro.farm.jobs import Job, JobGraph, Ref
+from repro.core.pinball2elf import ElfieArtifact, Pinball2ElfOptions
+from repro.farm.jobs import JobGraph
+from repro.farm.pipeline import (
+    FarmAppOutcome,
+    FarmValidation,
+    RegionSelector,
+    SelectionResult,
+    add_selection_jobs,
+    run_campaign,
+    run_selection,
+)
 from repro.farm.runner import FarmRunner
 from repro.farm.store import ArtifactStore
-from repro.machine.vfs import FileSystem
-from repro.observe import hooks
-from repro.pinplay.logger import log_regions
 from repro.pinplay.pinball import Pinball
 from repro.pinplay.regions import RegionSpec
 from repro.simpoint.bbv import BBVProfile, collect_bbv
@@ -43,7 +46,7 @@ REGION_SELECTOR = "bbv-simpoint/v1"
 
 
 @dataclass
-class PinPointsResult:
+class PinPointsResult(SelectionResult):
     """Everything the PinPoints pipeline produced for one program."""
 
     app_name: str
@@ -56,18 +59,21 @@ class PinPointsResult:
     #: region name -> generated ELFie artifact.
     elfies: Dict[str, ElfieArtifact] = field(default_factory=dict)
 
-    @property
-    def primary_regions(self) -> List[RegionSpec]:
-        return [r for r in self.regions if ".alt" not in r.name]
 
-    def alternates_for(self, region: RegionSpec) -> List[RegionSpec]:
-        """Alternate regions of the same cluster, best first."""
-        base = region.name.split(".alt")[0]
-        return sorted(
-            (r for r in self.regions
-             if r.name.startswith(base + ".alt")),
-            key=lambda r: r.name,
-        )
+def _job_profile(image: bytes, slice_size: int, seed: int) -> BBVProfile:
+    # Always preemptible: the poll is one Event check per slice, and a
+    # preemption is only ever requested by a draining worker's SIGTERM
+    # handler (or a --preemptible campaign runner).
+    return collect_bbv(image, slice_size=slice_size, seed=seed,
+                       preemptible=True)
+
+
+PINPOINTS = RegionSelector(
+    name=REGION_SELECTOR, tag="pinpoints.", infix=".r",
+    slice_param="slice_size", warmup_param="warmup",
+    options=Pinball2ElfOptions(perf_exit=True,
+                               marker=MarkerSpec("sniper", 0xE1F)),
+    profile=_job_profile, select=select_simpoints, result=PinPointsResult)
 
 
 def run_pinpoints(image: bytes, app_name: str,
@@ -75,90 +81,87 @@ def run_pinpoints(image: bytes, app_name: str,
                   warmup: int = 80_000,
                   max_k: int = 50,
                   seed: int = 0,
-                  fs: Optional[FileSystem] = None,
                   max_alternates: int = 2,
-                  capture: bool = True,
-                  make_elfies: bool = True,
-                  marker: Optional[MarkerSpec] = None,
-                  perf_exit: bool = True,
                   cluster_seed: int = 42) -> PinPointsResult:
     """Run the full PinPoints pipeline on *image*.
 
-    With ``capture`` a fat pinball is logged per region (primaries and
-    up to *max_alternates* alternates); with ``make_elfies`` each
-    pinball is converted to an ELFie with a ROI marker and graceful-exit
-    counters.
+    A fat pinball is logged per region (primaries and up to
+    *max_alternates* alternates) and converted to an ELFie with a ROI
+    marker and graceful-exit counters.
     """
-    obs = hooks.OBS
-    with obs.span("pinpoints.profile", "pinpoints", app=app_name):
-        profile = collect_bbv(image, slice_size=slice_size, seed=seed, fs=fs)
-    with obs.span("pinpoints.cluster", "pinpoints", app=app_name):
-        simpoints = select_simpoints(profile, max_k=max_k, seed=cluster_seed)
-    regions = simpoints.regions(warmup=warmup,
-                                name_prefix="%s.r" % app_name,
-                                max_alternates=max_alternates)
-    result = PinPointsResult(
-        app_name=app_name,
-        profile=profile,
-        simpoints=simpoints,
-        regions=regions,
-    )
-    if not capture:
-        return result
-    marker = marker or MarkerSpec("sniper", 0xE1F)
-    with obs.span("pinpoints.capture", "pinpoints", app=app_name):
-        for group in _capture_passes(regions, profile.total_icount):
-            pinballs = log_regions(image, group, seed=seed, fs=fs)
-            for name, pinball in pinballs.items():
-                pinball.program_icount = profile.total_icount
-                result.pinballs[name] = pinball
-                if make_elfies:
-                    with obs.span("pinpoints.convert", "pinpoints",
-                                  region=name):
-                        artifact = Pinball2Elf(
-                            pinball,
-                            Pinball2ElfOptions(perf_exit=perf_exit,
-                                               marker=marker),
-                        ).convert()
-                    result.elfies[name] = artifact
-    return result
+    return run_selection(PINPOINTS, image, app_name, slice_len=slice_size,
+                         warmup=warmup, max_k=max_k, seed=seed,
+                         max_alternates=max_alternates,
+                         cluster_seed=cluster_seed)
 
 
-def _capture_passes(regions: Sequence[RegionSpec],
-                    total_icount: int) -> List[List[RegionSpec]]:
-    """Group capturable regions into non-overlapping logger passes.
+def add_pinpoints_jobs(graph: JobGraph, image: bytes, app_name: str,
+                       slice_size: int = 20_000,
+                       warmup: int = 80_000,
+                       max_k: int = 50,
+                       seed: int = 0,
+                       max_alternates: int = 2,
+                       cluster_seed: int = 42,
+                       validations: Sequence[FarmValidation] = ()) -> str:
+    """Add one app's PinPoints pipeline to a campaign graph.
 
-    Windows of different regions may overlap (a big warmup around
-    adjacent slices); overlapping ones are captured in separate passes.
-    Shared by the direct and farm-backed drivers so both log the exact
-    same windows in the exact same runs.
+    See :func:`repro.farm.pipeline.add_selection_jobs` for the graph
+    and its memo keys.  Returns the name of the app's assemble job
+    (whose result is the :class:`PinPointsResult`).
     """
-    capturable = [region for region in regions
-                  if region.end <= total_icount]
-    passes: List[List[RegionSpec]] = []
-    for region in sorted(capturable, key=lambda r: r.warmup_start):
-        for group in passes:
-            if group and group[-1].end <= region.warmup_start:
-                group.append(region)
-                break
-        else:
-            passes.append([region])
-    return passes
+    return add_selection_jobs(graph, PINPOINTS, image, app_name, slice_size,
+                              warmup, max_k, seed, max_alternates,
+                              cluster_seed, validations)
+
+
+def run_pinpoints_campaign(images: Dict[str, bytes],
+                           store: ArtifactStore,
+                           jobs: Optional[int] = None,
+                           manifest_path: Optional[str] = None,
+                           runner: Optional[FarmRunner] = None,
+                           slice_size: int = 20_000,
+                           warmup: int = 80_000,
+                           max_k: int = 50,
+                           seed: int = 0,
+                           max_alternates: int = 2,
+                           cluster_seed: int = 42,
+                           validations: Sequence[FarmValidation] = (),
+                           preemptible: bool = False,
+                           ) -> Dict[str, FarmAppOutcome]:
+    """Run the PinPoints pipeline for several apps through the farm.
+
+    Independent per-app jobs fan out across the runner's worker pool;
+    every completed job is memoized in *store*, so re-running the same
+    campaign is a warm, logger/converter-free pass.  Produces exactly
+    what :func:`run_pinpoints` + the validation functions produce for
+    each app, plus the run manifest for observability.
+
+    With *preemptible*, a requested preemption (SIGTERM under
+    ``farm run --preemptible``) checkpoints the in-flight profile job
+    into the store, defers the rest of the graph, and returns the apps
+    that did finish; re-running the identical campaign resumes from
+    the memoized results plus the checkpoint.
+    """
+    if runner is None:
+        runner = FarmRunner(store, jobs=jobs, manifest_path=manifest_path,
+                            preemptible=preemptible)
+    return run_campaign(PINPOINTS, images, runner, validations,
+                        slice_len=slice_size, warmup=warmup, max_k=max_k,
+                        seed=seed, max_alternates=max_alternates,
+                        cluster_seed=cluster_seed)
+
+
+def run_pinpoints_farm(image: bytes, app_name: str,
+                       store: ArtifactStore,
+                       **kwargs: Any) -> FarmAppOutcome:
+    """Single-app convenience wrapper over the campaign runner."""
+    return run_pinpoints_campaign({app_name: image}, store,
+                                  **kwargs)[app_name]
 
 
 # ---------------------------------------------------------------------------
-# Farm-backed driver: the pipeline as a memoized, parallel job graph.
+# Validation passes.
 # ---------------------------------------------------------------------------
-
-#: A post-pipeline measurement pass: ``fn(result, image, **params)``
-#: must be a picklable module-level callable returning any picklable
-#: value (typically a ``ValidationResult``).
-@dataclass(frozen=True)
-class FarmValidation:
-    label: str
-    fn: Callable[..., Any]
-    params: Dict[str, Any] = field(default_factory=dict)
-
 
 def _validate_elfies_job(result: "PinPointsResult", image: bytes,
                          **kwargs) -> Any:
@@ -215,268 +218,3 @@ def fidelity_validation(label: str, seed: int = 0, epochs: int = 8,
     if max_regions is not None:
         params["max_regions"] = max_regions
     return FarmValidation(label, _verify_fidelity_job, params)
-
-
-@dataclass
-class FarmAppOutcome:
-    """What the farm campaign produced for one app."""
-
-    result: "PinPointsResult"
-    validations: Dict[str, Any] = field(default_factory=dict)
-
-
-def _region_spec_tuple(region: RegionSpec) -> List[Any]:
-    return [region.start, region.length, region.warmup, region.name,
-            region.weight]
-
-
-def _job_profile(image: bytes, slice_size: int, seed: int) -> BBVProfile:
-    # Always preemptible: the poll is one Event check per slice, and a
-    # preemption is only ever requested by a draining worker's SIGTERM
-    # handler (or a --preemptible campaign runner).
-    return collect_bbv(image, slice_size=slice_size, seed=seed,
-                       preemptible=True)
-
-
-def _job_select(profile: BBVProfile, max_k: int,
-                cluster_seed: int) -> SimPointResult:
-    return select_simpoints(profile, max_k=max_k, seed=cluster_seed)
-
-
-def _job_log_group(image: bytes, regions: Sequence[RegionSpec], seed: int,
-                   program_icount: int) -> Dict[str, Pinball]:
-    pinballs = log_regions(image, regions, seed=seed)
-    for pinball in pinballs.values():
-        pinball.program_icount = program_icount
-    return pinballs
-
-
-def _job_convert(pinball: Optional[Pinball], perf_exit: bool,
-                 marker_type: str, marker_tag: int) -> Optional[ElfieArtifact]:
-    if pinball is None:
-        # the logger skipped this region (program ended early); the
-        # direct path simply has no ELFie for it either
-        return None
-    options = Pinball2ElfOptions(
-        perf_exit=perf_exit, marker=MarkerSpec(marker_type, marker_tag))
-    return Pinball2Elf(pinball, options).convert()
-
-
-def _job_assemble(app_name: str, profile: BBVProfile,
-                  simpoints: SimPointResult, regions: List[RegionSpec],
-                  groups: List[Dict[str, Pinball]],
-                  elfies: Dict[str, Optional[ElfieArtifact]]) -> PinPointsResult:
-    result = PinPointsResult(app_name=app_name, profile=profile,
-                             simpoints=simpoints, regions=regions)
-    for group in groups:
-        result.pinballs.update(group)
-    result.elfies = {name: artifact for name, artifact in elfies.items()
-                     if artifact is not None}
-    return result
-
-
-def _job_validate(fn: Callable[..., Any], result: PinPointsResult,
-                  image: bytes, params: Dict[str, Any]) -> Any:
-    return fn(result, image, **params)
-
-
-def add_pinpoints_jobs(graph: JobGraph, image: bytes, app_name: str,
-                       slice_size: int = 20_000,
-                       warmup: int = 80_000,
-                       max_k: int = 50,
-                       seed: int = 0,
-                       max_alternates: int = 2,
-                       marker: Optional[MarkerSpec] = None,
-                       perf_exit: bool = True,
-                       cluster_seed: int = 42,
-                       validations: Sequence[FarmValidation] = ()) -> str:
-    """Add one app's PinPoints pipeline to a campaign graph.
-
-    Jobs are keyed by a deterministic digest of (workload, region,
-    logger options, converter options), so unchanged sub-pipelines are
-    served from the store on re-runs.  The log/convert/validate tail of
-    the graph depends on the clustering outcome, so it is added by an
-    ``expand`` callback once the selection job completes.
-
-    Returns the name of the app's assemble job (whose result is the
-    :class:`PinPointsResult`); validation jobs are named
-    ``<app>/validate/<label>``.
-    """
-    marker = marker or MarkerSpec("sniper", 0xE1F)
-    workload_key = stable_digest({"image": image, "app": app_name,
-                                  "selector": REGION_SELECTOR})
-    profile_name = "%s/profile" % app_name
-    select_name = "%s/select" % app_name
-    graph.add(Job(
-        name=profile_name,
-        fn=_job_profile,
-        args=(image, slice_size, seed),
-        key=stable_digest([REGION_SELECTOR, "pinpoints.profile",
-                           workload_key, slice_size, seed]),
-        stage="profile",
-        selector=REGION_SELECTOR,
-    ))
-
-    pipeline_spec = {
-        "selector": REGION_SELECTOR,
-        "workload": workload_key,
-        "slice_size": slice_size, "warmup": warmup, "max_k": max_k,
-        "seed": seed, "cluster_seed": cluster_seed,
-        "max_alternates": max_alternates,
-        "marker": [marker.marker_type, marker.tag],
-        "perf_exit": perf_exit,
-        "log": {"fat": True},
-    }
-
-    def expand_selection(simpoints: SimPointResult, graph: JobGraph,
-                         results: Dict[str, Any]) -> None:
-        profile = results[profile_name]
-        regions = simpoints.regions(warmup=warmup,
-                                    name_prefix="%s.r" % app_name,
-                                    max_alternates=max_alternates)
-        passes = _capture_passes(regions, profile.total_icount)
-        group_names: List[str] = []
-        convert_refs: Dict[str, Ref] = {}
-        for index, group in enumerate(passes):
-            group_name = "%s/log%d" % (app_name, index)
-            graph.add(Job(
-                name=group_name,
-                fn=_job_log_group,
-                args=(image, list(group), seed, profile.total_icount),
-                key=stable_digest([REGION_SELECTOR, "pinpoints.log",
-                                   workload_key, seed, {"fat": True},
-                                   [_region_spec_tuple(r) for r in group]]),
-                kind="pinballs",
-                deps=(select_name,),
-                stage="log",
-                selector=REGION_SELECTOR,
-            ))
-            group_names.append(group_name)
-            for region in group:
-                convert_name = "%s/convert/%s" % (app_name, region.name)
-                graph.add(Job(
-                    name=convert_name,
-                    fn=_job_convert,
-                    args=(Ref(group_name,
-                              select=lambda pbs, n=region.name: pbs.get(n)),
-                          perf_exit, marker.marker_type, marker.tag),
-                    key=stable_digest([REGION_SELECTOR, "pinpoints.elfie",
-                                       workload_key,
-                                       _region_spec_tuple(region), seed,
-                                       {"fat": True},
-                                       {"perf_exit": perf_exit,
-                                        "marker": [marker.marker_type,
-                                                   marker.tag]}]),
-                    stage="convert",
-                    selector=REGION_SELECTOR,
-                ))
-                convert_refs[region.name] = Ref(convert_name)
-        assemble_name = "%s/assemble" % app_name
-        graph.add(Job(
-            name=assemble_name,
-            fn=_job_assemble,
-            args=(app_name, Ref(profile_name), Ref(select_name),
-                  list(regions), [Ref(name) for name in group_names],
-                  convert_refs),
-            local=True,
-            stage="assemble",
-            selector=REGION_SELECTOR,
-        ))
-        for validation in validations:
-            graph.add(Job(
-                name="%s/validate/%s" % (app_name, validation.label),
-                fn=_job_validate,
-                args=(validation.fn, Ref(assemble_name), image,
-                      dict(validation.params)),
-                key=stable_digest([REGION_SELECTOR, "pinpoints.validate",
-                                   pipeline_spec, validation.label,
-                                   "%s.%s" % (validation.fn.__module__,
-                                              validation.fn.__qualname__),
-                                   validation.params]),
-                stage="validate",
-                selector=REGION_SELECTOR,
-            ))
-
-    graph.add(Job(
-        name=select_name,
-        fn=_job_select,
-        args=(Ref(profile_name), max_k, cluster_seed),
-        key=stable_digest([REGION_SELECTOR, "pinpoints.select",
-                           workload_key, slice_size, seed, max_k,
-                           cluster_seed]),
-        stage="cluster",
-        expand=expand_selection,
-        selector=REGION_SELECTOR,
-    ))
-    return "%s/assemble" % app_name
-
-
-def run_pinpoints_campaign(images: Dict[str, bytes],
-                           store: ArtifactStore,
-                           jobs: Optional[int] = None,
-                           manifest_path: Optional[str] = None,
-                           runner: Optional[FarmRunner] = None,
-                           slice_size: int = 20_000,
-                           warmup: int = 80_000,
-                           max_k: int = 50,
-                           seed: int = 0,
-                           max_alternates: int = 2,
-                           marker: Optional[MarkerSpec] = None,
-                           perf_exit: bool = True,
-                           cluster_seed: int = 42,
-                           validations: Sequence[FarmValidation] = (),
-                           preemptible: bool = False,
-                           ) -> Dict[str, FarmAppOutcome]:
-    """Run the PinPoints pipeline for several apps through the farm.
-
-    Independent per-app jobs fan out across the runner's worker pool;
-    every completed job is memoized in *store*, so re-running the same
-    campaign is a warm, logger/converter-free pass.  Produces exactly
-    what :func:`run_pinpoints` + the validation functions produce for
-    each app, plus the run manifest for observability.
-
-    With *preemptible*, a requested preemption (SIGTERM under
-    ``farm run --preemptible``) checkpoints the in-flight profile job
-    into the store, defers the rest of the graph, and returns the apps
-    that did finish; re-running the identical campaign resumes from
-    the memoized results plus the checkpoint.
-    """
-    obs = hooks.OBS
-    with obs.span("campaign.build", "farm", apps=sorted(images)):
-        graph = JobGraph()
-        for app_name, image in images.items():
-            add_pinpoints_jobs(graph, image, app_name,
-                               slice_size=slice_size, warmup=warmup,
-                               max_k=max_k, seed=seed,
-                               max_alternates=max_alternates, marker=marker,
-                               perf_exit=perf_exit, cluster_seed=cluster_seed,
-                               validations=validations)
-    if runner is None:
-        runner = FarmRunner(store, jobs=jobs, manifest_path=manifest_path,
-                            preemptible=preemptible)
-    with obs.span("campaign.run", "farm", apps=sorted(images),
-                  workers=runner.jobs):
-        results = runner.run(graph, strict=not preemptible)
-    outcomes: Dict[str, FarmAppOutcome] = {}
-    for app_name in images:
-        assembled = results.get("%s/assemble" % app_name)
-        if assembled is None:
-            continue  # preempted/deferred before this app finished
-        outcomes[app_name] = FarmAppOutcome(
-            result=assembled,
-            validations={
-                validation.label:
-                    results["%s/validate/%s" % (app_name, validation.label)]
-                for validation in validations
-                if "%s/validate/%s" % (app_name, validation.label) in results
-            },
-        )
-    return outcomes
-
-
-def run_pinpoints_farm(image: bytes, app_name: str,
-                       store: ArtifactStore,
-                       **kwargs: Any) -> FarmAppOutcome:
-    """Single-app convenience wrapper over the campaign runner."""
-    return run_pinpoints_campaign({app_name: image}, store,
-                                  **kwargs)[app_name]

@@ -20,7 +20,8 @@ the paper's coverage-recovery strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import partial
+from typing import Any, Callable, List, Optional
 
 from repro.core.elfie import prepare_elfie_machine
 from repro.core.pinball2elf import ElfieArtifact
@@ -182,21 +183,36 @@ def validate_with_elfies(result: PinPointsResult,
     measurement).  When a primary region's ELFie fails, the cluster's
     alternates are tried in order.
     """
-    validation = ValidationResult(
+    return validate_regions(ValidationResult, result,
+                            partial(measure_elfie_region, fs=fs), seed=seed,
+                            trials=trials, use_alternates=use_alternates)
+
+
+def validate_regions(validation_type: Callable[..., ValidationResult],
+                     result, measure: Callable[..., Any], seed: int,
+                     trials: int, use_alternates: bool) -> ValidationResult:
+    """Measure every primary region of a selector *result*.
+
+    ``measure(artifact, region, seed)`` runs one trial of one region's
+    ELFie, or returns ``None`` when that region cannot be measured at
+    all.  Each region is measured ``trials`` times under seeds
+    ``seed``, ``seed + 101``, ... and the rates are averaged; when a
+    trial fails, the cluster's alternates are tried in order.  Shared by
+    the PinPoints and LoopPoint validations, which differ in ``measure``.
+    """
+    validation = validation_type(
         app_name=result.app_name,
         whole_program_cpi=result.profile.whole_program_cpi,
     )
     for region in result.primary_regions:
-        measurement = _measure_with_alternates(
-            result, region, seed=seed, trials=trials, fs=fs,
-            use_alternates=use_alternates)
-        validation.measurements.append(measurement)
+        validation.measurements.append(_measure_with_alternates(
+            result, region, measure, seed, trials, use_alternates))
     return validation
 
 
-def _measure_with_alternates(result: PinPointsResult, region: RegionSpec,
+def _measure_with_alternates(result, region: RegionSpec,
+                             measure: Callable[..., Any],
                              seed: int, trials: int,
-                             fs: Optional[FileSystem],
                              use_alternates: bool) -> RegionMeasurement:
     candidates = [region]
     if use_alternates:
@@ -206,29 +222,36 @@ def _measure_with_alternates(result: PinPointsResult, region: RegionSpec,
         artifact = result.elfies.get(candidate.name)
         if artifact is None:
             continue
-        cpis: List[float] = []
+        runs: List[RegionMeasurement] = []
         failure: Optional[RegionMeasurement] = None
         for trial in range(trials):
-            measurement = measure_elfie_region(
-                artifact, candidate, seed=seed + trial * 101, fs=fs)
-            if measurement.ok:
-                cpis.append(measurement.cpi)
-            else:
+            measurement = measure(artifact, candidate, seed + trial * 101)
+            if measurement is None:
+                break  # not measurable: try the next candidate
+            if not measurement.ok:
                 failure = measurement
                 break
-        if cpis and failure is None:
+            runs.append(measurement)
+        if runs and failure is None:
+
+            def mean(rate: str) -> Optional[float]:
+                values = [getattr(run, rate) for run in runs]
+                return None if None in values else sum(values) / len(values)
+
             return RegionMeasurement(
                 region=RegionSpec(
                     start=candidate.start, length=candidate.length,
                     warmup=candidate.warmup, name=candidate.name,
                     weight=region.weight,
                 ),
-                cpi=sum(cpis) / len(cpis),
+                cpi=mean("cpi"),
                 ok=True,
                 used_alternate=(candidate.name
                                 if candidate.name != region.name else None),
+                cycles_per_work=mean("cycles_per_work"),
+                icount_per_work=mean("icount_per_work"),
             )
-        last = failure
+        last = failure or last
     if last is not None:
         return RegionMeasurement(region=region, cpi=None, ok=False,
                                  detail=last.detail)
