@@ -9,14 +9,16 @@ from repro.simulators import (
     Cache,
     CoreSim,
     CoreSimConfig,
+    CoreSimResult,
     Gem5Sim,
     HASWELL_LIKE,
     NEHALEM_LIKE,
     SniperConfig,
+    SniperResult,
     SniperSim,
     Tlb,
 )
-from repro.simulators.sniper import profile_end_condition
+from repro.simulators.sniper import find_end_condition, profile_end_condition
 from repro.workloads import PhaseSpec, ProgramBuilder, build_executable
 
 
@@ -319,3 +321,121 @@ def test_gem5_config_window_properties():
     assert HASWELL_LIKE.effective_window > NEHALEM_LIKE.effective_window
     assert HASWELL_LIKE.mlp > NEHALEM_LIKE.mlp
     assert HASWELL_LIKE.hidden_latency > NEHALEM_LIKE.hidden_latency
+
+
+# -- golden results -----------------------------------------------------------
+
+
+def _sniper_budget(st, mt):
+    pinball, artifact = st
+    return SniperSim().simulate_elfie(artifact.image,
+                                      roi_budget=pinball.region_icount)
+
+
+def _sniper_end_condition(st, mt):
+    pinball, artifact = st
+    rip = pinball.threads[0].regs.rip
+    _, count = profile_end_condition(pinball, rip)
+    return SniperSim().simulate_elfie(artifact.image, end_pc=rip,
+                                      end_count=count // 2)
+
+
+def _sniper_pinball(st, mt):
+    return SniperSim().simulate_pinball(st[0])
+
+
+def _sniper_mt_timing_driven(st, mt):
+    pinball, artifact = mt
+    end_pc, end_count = find_end_condition(pinball)
+    return SniperSim().simulate_elfie(artifact.image, end_pc=end_pc,
+                                      end_count=end_count, seed=11)
+
+
+def _coresim(frontend, roi_budget):
+    def run(st, mt):
+        return CoreSim(CoreSimConfig(frontend=frontend)).simulate_elfie(
+            st[1].image, roi_budget=roi_budget, warmup_budget=10_000)
+    return run
+
+
+def _coresim_program(st, mt):
+    return CoreSim().simulate_program(st[1].image, max_instructions=50_000)
+
+
+def _gem5(config, roi_budget):
+    def run(st, mt):
+        return Gem5Sim(config).simulate_elfie(
+            st[1].image, roi_budget=roi_budget, warmup_budget=1_000)
+    return run
+
+
+def _summary(result):
+    if isinstance(result, CoreSimResult):
+        return (result.instructions_ring3, repr(result.runtime_cycles),
+                result.llc_misses, repr(result.branch_mispredict_rate),
+                result.status.detail, result.instructions_ring0,
+                result.dtlb_misses, result.prefetch_lines,
+                result.measured_instructions, repr(result.measured_cycles))
+    if isinstance(result, SniperResult):
+        return (result.instructions, repr(result.runtime_cycles),
+                result.llc_misses, repr(result.branch_mispredict_rate),
+                result.status.detail, result.core_instructions)
+    return (result.instructions, repr(result.cycles), result.llc_misses,
+            repr(result.branch_mispredict_rate), result.status.detail)
+
+
+#: Recorded before the simulators shared one timing core.
+GOLDEN = {
+    "sniper-budget": (
+        60000, "55332.0", 2, "0.00015001500150015003",
+        "sniper instruction budget", [60000, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    "sniper-end-condition": (
+        29991, "27823.75", 2, "0.00030012004801920766", "sniper end condition",
+        [29991, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    "sniper-pinball": (
+        60000, "55332.0", 2, "0.00015001500150015003",
+        "instruction budget exhausted", [60000, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    "sniper-mt-timing-driven": (
+        60073, "7271.75", 17, "0.0007334066740007334", "sniper end condition",
+        [16330, 14400, 14687, 14656, 0, 0, 0, 0],
+    ),
+    "coresim-sde-warmup": (
+        30000, "34560.0", 3, "0.00030003000300030005", "coresim budget", 0, 1,
+        1, 20000, "22778.0",
+    ),
+    "coresim-simics-warmup": (
+        60139, "198855.75", 728, "0.0005989817310572028", "last thread exited",
+        5940, 255, 3, 50139, "187073.75",
+    ),
+    "coresim-program": (
+        50000, "128414.0", 1790, "0.0001400364094664613",
+        "instruction budget exhausted", 0, 29, 1786, 0, "0.0",
+    ),
+    "gem5-nehalem-warmup": (
+        20000, "6111.0", 2, "0.0004286326618088298", "gem5 budget",
+    ),
+    "gem5-haswell-warmup": (
+        59139, "18284.75", 7, "0.0005989817310572028", "last thread exited",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, run", [
+    ("sniper-budget", _sniper_budget),
+    ("sniper-end-condition", _sniper_end_condition),
+    ("sniper-pinball", _sniper_pinball),
+    ("sniper-mt-timing-driven", _sniper_mt_timing_driven),
+    ("coresim-sde-warmup", _coresim("sde", 20_000)),
+    ("coresim-simics-warmup", _coresim("simics", None)),
+    ("coresim-program", _coresim_program),
+    ("gem5-nehalem-warmup", _gem5(NEHALEM_LIKE, 20_000)),
+    ("gem5-haswell-warmup", _gem5(HASWELL_LIKE, None)),
+])
+def test_simulator_results_are_pinned(case, run, st_pinball_and_elfie,
+                                      mt_pinball_and_elfie):
+    """Every simulator's statistics, bit for bit, on fixed inputs."""
+    result = run(st_pinball_and_elfie, mt_pinball_and_elfie)
+    assert _summary(result) == GOLDEN[case]
