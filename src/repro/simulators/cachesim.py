@@ -10,7 +10,7 @@ footprint column).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 LINE_SHIFT = 6
 LINE_SIZE = 1 << LINE_SHIFT
@@ -59,13 +59,6 @@ class Cache:
             ways.pop(0)
         return cycles
 
-    def invalidate_all(self) -> None:
-        self._ways = [[] for _ in range(self.sets)]
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def footprint_bytes(self) -> int:
         """Bytes of distinct lines that passed through this cache."""
         return len(self.touched) * LINE_SIZE
@@ -101,10 +94,6 @@ class Tlb:
         if len(self._lru) > self.entries:
             self._lru.pop(0)
         return self.miss_penalty
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 @dataclass
@@ -144,14 +133,3 @@ class CacheHierarchy:
         if self.itlb is not None:
             cycles += self.itlb.access(addr)
         return cycles
-
-    def stats(self) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for cache in (self.l1d, self.l1i, self.l2, self.llc):
-            out["%s_accesses" % cache.name.lower()] = cache.accesses
-            out["%s_misses" % cache.name.lower()] = cache.misses
-        for tlb in (self.dtlb, self.itlb):
-            if tlb is not None:
-                out["%s_accesses" % tlb.name.lower()] = tlb.accesses
-                out["%s_misses" % tlb.name.lower()] = tlb.misses
-        return out

@@ -22,20 +22,19 @@ footprint, prefetcher traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
-from repro.core.elfie import prepare_elfie_machine
 from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
-from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
-from repro.simulators.branch import BranchPredictor
 from repro.simulators.cachesim import Cache, CacheHierarchy
 from repro.simulators.kernelmodel import (
     TIMER_INTERVAL,
     syscall_stream,
     timer_stream,
 )
+from repro.simulators.timing import TimingCore
 
 
 @dataclass
@@ -60,121 +59,63 @@ class CoreSimConfig:
     prefetch_next_line: bool = True
 
 
-class _CoreSimTool(Tool):
-    """Single-core detailed timing model as an instrumentation tool."""
+class _CoreSimTool(TimingCore):
+    """Single-core detailed model: TLBs, a next-line prefetcher, a
+    syscall trap and, in full-system mode, ring-0 kernel streams."""
 
-    wants_instructions = True
-    wants_memory = True
-    wants_blocks = True
+    name = "coresim"
 
-    def __init__(self, config: CoreSimConfig,
-                 roi_budget: Optional[int],
-                 warmup_budget: int = 0) -> None:
+    def __init__(self, config: CoreSimConfig, **roi) -> None:
         self.config = config
-        self.llc = Cache("LLC", config.llc_kb, config.llc_assoc, 30)
         self.hierarchy = CacheHierarchy.build(
-            self.llc, l1_kb=config.l1_kb, l2_kb=config.l2_kb,
+            Cache("LLC", config.llc_kb, config.llc_assoc, 30),
+            l1_kb=config.l1_kb, l2_kb=config.l2_kb,
             with_tlbs=True, tlb_entries=config.tlb_entries,
             tlb_penalty=config.tlb_penalty,
         )
-        self.predictor = BranchPredictor(
-            mispredict_penalty=config.mispredict_penalty)
-        self.cycles = 0.0
-        self.ring3_instructions = 0
+        super().__init__(
+            [self.hierarchy], width=config.dispatch_width,
+            mispredict_penalty=config.mispredict_penalty,
+            # long-latency execution costs (partially hidden by the window)
+            long_ops={Op.DIV_RR: 18.0, Op.MOD_RR: 18.0, Op.FDIV: 11.0,
+                      Op.IMUL_RR: 2.0, Op.IMUL_RI: 2.0, Op.FMUL: 2.5,
+                      Op.FADD: 2.0, Op.FSUB: 2.0},
+            interval=(TIMER_INTERVAL if config.frontend == "simics"
+                      else None),
+            **roi)
+        if config.prefetch_next_line:
+            self.data = [self._prefetching_data]
         self.ring0_instructions = 0
         self.prefetch_lines = 0
-        self.roi_active = False
-        self.roi_budget = roi_budget
-        #: ROI instructions that warm microarchitectural state without
-        #: being measured (the PinPoints warmup region).
-        self.warmup_budget = warmup_budget
-        self.warmup_cycles: Optional[float] = None if warmup_budget else 0.0
-        self.warmup_ring0: int = 0
-        self._instr_cost = 1.0 / config.dispatch_width
-        self._pending_branch = None
-        self._since_timer = 0
         self._kernel_episodes = 0
-        # long-latency execution costs (partially hidden by the window)
-        self._long_op_cost = {
-            int(Op.DIV_RR): 18.0, int(Op.MOD_RR): 18.0,
-            int(Op.FDIV): 11.0,
-            int(Op.IMUL_RR): 2.0, int(Op.IMUL_RI): 2.0,
-            int(Op.FMUL): 2.5, int(Op.FADD): 2.0, int(Op.FSUB): 2.0,
-        }
-
-    # -- kernel stream injection -------------------------------------------
 
     def _run_kernel_stream(self, stream) -> None:
         self.ring0_instructions += stream.instructions
-        self.cycles += stream.instructions * self._instr_cost
+        self.cycles[0] += (stream.instructions
+                           * (1.0 / self.config.dispatch_width))
         for kind, addr in stream.accesses():
             if kind == "fetch":
-                self.cycles += self.hierarchy.fetch_access(addr)
+                self.cycles[0] += self.hierarchy.fetch_access(addr)
             else:
-                self.cycles += self.hierarchy.data_access(addr)
+                self.cycles[0] += self.hierarchy.data_access(addr)
 
-    def _maybe_timer(self, machine) -> None:
-        if self._since_timer >= TIMER_INTERVAL:
-            self._since_timer = 0
-            if self.config.frontend == "simics":
-                self._kernel_episodes += 1
-                self._run_kernel_stream(timer_stream(self._kernel_episodes))
+    def on_interval(self) -> None:
+        self._kernel_episodes += 1
+        self._run_kernel_stream(timer_stream(self._kernel_episodes))
 
-    # -- instrumentation callbacks -------------------------------------------
-
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self._pending_branch is not None:
-            branch_pc, fallthrough = self._pending_branch
-            self._pending_branch = None
-            self.cycles += self.predictor.predict_and_update(
-                branch_pc, pc != fallthrough)
-        if not self.roi_active:
-            if insn.op is Op.MARKER:
-                self.roi_active = True
-            return
-        self.cycles += self._instr_cost
-        cost = self._long_op_cost.get(int(insn.op))
-        if cost is not None:
-            self.cycles += cost
-        self.ring3_instructions += 1
-        self._since_timer += 1
-        if insn.is_cond_branch:
-            self._pending_branch = (pc, pc + insn.size)
-        self._maybe_timer(machine)
-        if (self.warmup_cycles is None
-                and self.ring3_instructions >= self.warmup_budget):
-            self.warmup_cycles = self.cycles
-            self.warmup_ring0 = self.ring0_instructions
-        if (self.roi_budget is not None
-                and self.ring3_instructions
-                >= self.roi_budget + self.warmup_budget):
-            machine.request_stop("coresim budget")
-
-    def on_basic_block(self, machine, thread, pc) -> None:
-        if self.roi_active:
-            self.cycles += self.hierarchy.fetch_access(pc)
-
-    def _data(self, addr: int) -> None:
+    def _prefetching_data(self, addr: int) -> float:
         before = self.hierarchy.l1d.misses
-        self.cycles += self.hierarchy.data_access(addr)
-        if (self.config.prefetch_next_line
-                and self.hierarchy.l1d.misses > before):
+        cycles = self.hierarchy.data_access(addr)
+        if self.hierarchy.l1d.misses > before:
             # next-line prefetch into the LLC
             self.llc.access(addr + 64)
             self.prefetch_lines += 1
-
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
-
-    def on_memory_write(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
+        return cycles
 
     def on_syscall_after(self, machine, thread, number, result) -> None:
         if not self.roi_active:
             return
-        self.cycles += self.config.syscall_trap_cycles
+        self.cycles[0] += self.config.syscall_trap_cycles
         if self.config.frontend == "simics":
             self._kernel_episodes += 1
             self._run_kernel_stream(
@@ -245,15 +186,15 @@ class CoreSim:
             config_name=self.config.name,
             frontend=self.config.frontend,
             status=status,
-            instructions_ring3=tool.ring3_instructions,
+            instructions_ring3=tool.instructions,
             instructions_ring0=tool.ring0_instructions,
-            runtime_cycles=tool.cycles,
+            runtime_cycles=tool.cycles[0],
             llc_misses=tool.llc.misses,
-            dtlb_misses=hierarchy.dtlb.misses if hierarchy.dtlb else 0,
-            itlb_misses=hierarchy.itlb.misses if hierarchy.itlb else 0,
+            dtlb_misses=hierarchy.dtlb.misses,
+            itlb_misses=hierarchy.itlb.misses,
             data_footprint_bytes=tool.llc.footprint_bytes(),
             prefetch_lines=tool.prefetch_lines,
-            branch_mispredict_rate=tool.predictor.mispredict_rate,
+            branch_mispredict_rate=tool.mispredict_rate,
         )
 
     def simulate_elfie(self, image: bytes,
@@ -269,18 +210,15 @@ class CoreSim:
         measured window of *roi_budget* instructions begins, matching
         the PinPoints warmup methodology.
         """
-        machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
-                                           workdir=workdir)
         tool = _CoreSimTool(self.config, roi_budget=roi_budget,
                             warmup_budget=warmup_budget)
-        machine.attach(tool)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
+        status = tool.simulate_elfie(image, seed, fs, workdir,
+                                     max_instructions)
         result = self._finish(tool, status)
         if tool.warmup_cycles is not None:
-            result.measured_instructions = (tool.ring3_instructions
+            result.measured_instructions = (tool.instructions
                                             - tool.warmup_budget)
-            result.measured_cycles = tool.cycles - tool.warmup_cycles
+            result.measured_cycles = tool.cycles[0] - tool.warmup_cycles
         return result
 
     def simulate_program(self, image: bytes,
@@ -294,9 +232,8 @@ class CoreSim:
 
         machine = Machine(seed=seed, fs=fs)
         load_elf(machine, image)
-        tool = _CoreSimTool(self.config, roi_budget=None)
-        tool.roi_active = True
-        machine.attach(tool)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
+        tool = _CoreSimTool(self.config, roi_armed=True)
+        status = tool.simulate(machine, partial(
+            machine.run, max_instructions=max_instructions),
+            "simulate_program")
         return self._finish(tool, status)

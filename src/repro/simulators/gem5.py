@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.elfie import prepare_elfie_machine
 from repro.isa.instructions import Op
 from repro.machine.machine import ExitStatus
-from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
-from repro.simulators.branch import BranchPredictor
 from repro.simulators.cachesim import Cache, CacheHierarchy, MEMORY_LATENCY
+from repro.simulators.timing import TimingCore
 
 
 @dataclass(frozen=True)
@@ -69,90 +67,47 @@ HASWELL_LIKE = Gem5Config(name="haswell-like", width=4, rob=192, lsq=72,
                           regfile=168, pipeline_depth=14)
 
 
-class _Gem5Tool(Tool):
-    """Interval-model accounting over the functional execution."""
+class _Gem5Tool(TimingCore):
+    """The window/MLP stall model: off-chip misses stall for the latency
+    the window cannot hide, divided by the memory-level parallelism."""
 
-    wants_instructions = True
-    wants_memory = True
-    wants_blocks = True
+    name = "gem5"
 
-    def __init__(self, config: Gem5Config,
-                 roi_budget: Optional[int], roi_armed: bool,
-                 warmup_budget: int = 0) -> None:
+    def __init__(self, config: Gem5Config, **roi) -> None:
         self.config = config
-        self.llc = Cache("LLC", config.llc_kb, 16, 30)
         self.hierarchy = CacheHierarchy.build(
-            self.llc, l1_kb=config.l1_kb, l2_kb=config.l2_kb)
-        self.predictor = BranchPredictor(
-            mispredict_penalty=config.pipeline_depth)
-        self.instructions = 0
-        self.base_cycles = 0.0
-        self.stall_cycles = 0.0
-        self.roi_active = roi_armed
-        self.roi_budget = roi_budget
-        self.warmup_budget = warmup_budget
-        self.warmup_cycles: Optional[float] = None
-        self._pending_branch = None
+            Cache("LLC", config.llc_kb, 16, 30),
+            l1_kb=config.l1_kb, l2_kb=config.l2_kb)
+        width = config.width
+        super().__init__(
+            [self.hierarchy], width=width,
+            mispredict_penalty=config.pipeline_depth,
+            # serialization cost of long-latency ALU ops shrinks with width
+            long_ops={Op.DIV_RR: 20.0 / width, Op.MOD_RR: 20.0 / width,
+                      Op.FDIV: 12.0 / width, Op.IMUL_RR: 2.0 / width,
+                      Op.IMUL_RI: 2.0 / width, Op.FMUL: 2.0 / width},
+            **roi)
+        self.fetch = [self._fetch_stall]
+        self.data = [self._data_stall]
         self._miss_stall = max(
             0.0, MEMORY_LATENCY - config.hidden_latency) / config.mlp
-        # serialization cost of long-latency ALU ops shrinks with width
-        self._long_op_cost = {
-            int(Op.DIV_RR): 20.0 / config.width,
-            int(Op.MOD_RR): 20.0 / config.width,
-            int(Op.FDIV): 12.0 / config.width,
-            int(Op.IMUL_RR): 2.0 / config.width,
-            int(Op.IMUL_RI): 2.0 / config.width,
-            int(Op.FMUL): 2.0 / config.width,
-        }
+        # L2 hits are partially hidden by the window
+        self._l2_hit_stall = max(0.0, 10.0 - config.hidden_latency / 8.0)
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self._pending_branch is not None:
-            branch_pc, fallthrough = self._pending_branch
-            self._pending_branch = None
-            self.stall_cycles += self.predictor.predict_and_update(
-                branch_pc, pc != fallthrough)
-        if not self.roi_active:
-            if insn.op is Op.MARKER:
-                self.roi_active = True
-            return
-        self.instructions += 1
-        self.base_cycles += 1.0 / self.config.width
-        self.stall_cycles += self._long_op_cost.get(int(insn.op), 0.0)
-        if insn.is_cond_branch:
-            self._pending_branch = (pc, pc + insn.size)
-        if (self.warmup_cycles is None
-                and self.instructions >= self.warmup_budget):
-            self.warmup_cycles = self.base_cycles + self.stall_cycles
-        if (self.roi_budget is not None
-                and self.instructions >= self.roi_budget + self.warmup_budget):
-            machine.request_stop("gem5 budget")
-
-    def on_basic_block(self, machine, thread, pc) -> None:
-        if not self.roi_active:
-            return
+    def _fetch_stall(self, pc: int) -> float:
         before = self.llc.misses
         self.hierarchy.fetch_access(pc)
-        if self.llc.misses > before:
-            self.stall_cycles += self._miss_stall
+        return self._miss_stall if self.llc.misses > before else 0.0
 
-    def _data(self, addr: int) -> None:
+    def _data_stall(self, addr: int) -> float:
         l2_before = self.hierarchy.l2.misses
         l1_before = self.hierarchy.l1d.misses
         self.hierarchy.data_access(addr)
         if self.hierarchy.l2.misses > l2_before:
-            self.stall_cycles += self._miss_stall
-        elif self.hierarchy.l1d.misses > l1_before:
-            # L2 hits are partially hidden by the window
-            self.stall_cycles += max(
-                0.0, 10.0 - self.config.hidden_latency / 8.0)
-
-    def on_memory_read(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
-
-    def on_memory_write(self, machine, thread, addr, size) -> None:
-        if self.roi_active:
-            self._data(addr)
+            return self._miss_stall
+        if self.hierarchy.l1d.misses > l1_before:
+            return self._l2_hit_stall
+        return 0.0
 
 
 @dataclass
@@ -197,16 +152,13 @@ class Gem5Sim:
         the microarchitectural state but are excluded from the reported
         instruction/cycle counts.
         """
-        machine, _ = prepare_elfie_machine(image, seed=seed, fs=fs,
-                                           workdir=workdir)
         tool = _Gem5Tool(self.config, roi_budget=roi_budget,
-                         roi_armed=False, warmup_budget=warmup_budget)
-        machine.attach(tool)
-        status = machine.run(max_instructions=max_instructions)
-        machine.detach(tool)
-        cycles = tool.base_cycles + tool.stall_cycles
+                         warmup_budget=warmup_budget)
+        status = tool.simulate_elfie(image, seed, fs, workdir,
+                                     max_instructions)
+        cycles = tool.cycles[0]
         instructions = tool.instructions
-        if warmup_budget and tool.warmup_cycles is not None:
+        if tool.warmup_cycles is not None:
             cycles -= tool.warmup_cycles
             instructions -= tool.warmup_budget
         return Gem5Result(
@@ -215,5 +167,5 @@ class Gem5Sim:
             instructions=instructions,
             cycles=cycles,
             llc_misses=tool.llc.misses,
-            branch_mispredict_rate=tool.predictor.mispredict_rate,
+            branch_mispredict_rate=tool.mispredict_rate,
         )
