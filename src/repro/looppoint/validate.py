@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.elfie import prepare_elfie_machine
 from repro.core.pinball2elf import ElfieArtifact
 from repro.isa.instructions import Op
 from repro.machine.tool import Tool
@@ -40,6 +39,7 @@ from repro.pinplay.regions import RegionSpec
 from repro.simpoint.validation import (
     RegionMeasurement,
     ValidationResult,
+    run_region_meter,
     validate_regions,
 )
 
@@ -101,6 +101,11 @@ class _MarkerMeter(Tool):
         return (self.end_cycles - self.start_cycles) / retired
 
     @property
+    def progress(self) -> str:
+        return " (crossings %d of %d)" % (self.crossings,
+                                          self.skip + self.measure)
+
+    @property
     def cycles_per_work(self) -> Optional[float]:
         if self.end_cycles is None or self.measure == 0:
             return None
@@ -123,29 +128,19 @@ def measure_elfie_region_markers(artifact: ElfieArtifact,
                                  workdir: str = "/",
                                  budget_factor: int = 8
                                  ) -> RegionMeasurement:
-    """Replay a LoopPoint region ELFie and measure it marker-to-marker."""
-    try:
-        machine, _loaded = prepare_elfie_machine(
-            artifact.image, seed=seed, fs=fs, workdir=workdir)
-    except Exception as exc:  # loader failures (stack collision)
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail="loader: %s" % exc)
+    """Replay a LoopPoint region ELFie and measure it marker-to-marker.
+
+    The budget is in realized icounts; the larger default
+    *budget_factor* leaves headroom for spin stretching.
+    """
     meter = _MarkerMeter(work_addrs, skip=skip, measure=measure)
-    machine.attach(meter)
-    # Budget in realized icounts, with headroom for spin stretching.
-    budget = budget_factor * (region.warmup + region.length) + 2_000_000
-    status = machine.run(max_instructions=budget)
-    machine.detach(meter)
-    cpi = meter.cpi
-    if cpi is None:
-        detail = ("died: %s" % status.detail if status.kind == "signal"
-                  else "incomplete: %s (crossings %d of %d)"
-                  % (status.detail, meter.crossings, skip + measure))
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail=detail)
-    return RegionMeasurement(region=region, cpi=cpi, ok=True,
-                             cycles_per_work=meter.cycles_per_work,
-                             icount_per_work=meter.icount_per_work)
+    measurement = run_region_meter(artifact, region, meter, seed=seed,
+                                   fs=fs, workdir=workdir,
+                                   budget_factor=budget_factor)
+    if measurement.ok:
+        measurement.cycles_per_work = meter.cycles_per_work
+        measurement.icount_per_work = meter.icount_per_work
+    return measurement
 
 
 class LoopPointValidation(ValidationResult):

@@ -26,6 +26,7 @@ from typing import Any, Callable, List, Optional
 from repro.core.elfie import prepare_elfie_machine
 from repro.core.pinball2elf import ElfieArtifact
 from repro.isa.instructions import Op
+from repro.machine.loader import LoaderError
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
@@ -56,6 +57,8 @@ class _RegionMeter(Tool):
     """
 
     wants_instructions = True
+    #: Appended to the detail of an incomplete measurement.
+    progress = ""
 
     def __init__(self, warmup: int, length: int) -> None:
         self.warmup = warmup
@@ -145,18 +148,30 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
                          workdir: str = "/",
                          budget_factor: int = 6) -> RegionMeasurement:
     """Run a region ELFie natively and measure its post-warmup CPI."""
-    try:
-        machine, _loaded = prepare_elfie_machine(
-            artifact.image, seed=seed, fs=fs, workdir=workdir)
-    except Exception as exc:  # loader failures (stack collision)
-        return RegionMeasurement(region=region, cpi=None, ok=False,
-                                 detail="loader: %s" % exc)
     # The marker sits at the captured window start (warmup_start); the
     # instructions to skip are those actually captured before the
     # region, which is less than the nominal warmup when the region
     # starts early in the program.
-    effective_warmup = region.start - region.warmup_start
-    meter = _RegionMeter(warmup=effective_warmup, length=region.length)
+    meter = _RegionMeter(warmup=region.start - region.warmup_start,
+                         length=region.length)
+    return run_region_meter(artifact, region, meter, seed=seed, fs=fs,
+                            workdir=workdir, budget_factor=budget_factor)
+
+
+def run_region_meter(artifact: ElfieArtifact, region: RegionSpec, meter,
+                     seed: int, fs: Optional[FileSystem], workdir: str,
+                     budget_factor: int) -> RegionMeasurement:
+    """Run a region ELFie under *meter* and report the meter's ``cpi``.
+
+    A loader failure (stack collision), a fatal signal, or a run that
+    ends before the meter has a CPI is a failed measurement.
+    """
+    try:
+        machine, _loaded = prepare_elfie_machine(
+            artifact.image, seed=seed, fs=fs, workdir=workdir)
+    except LoaderError as exc:
+        return RegionMeasurement(region=region, cpi=None, ok=False,
+                                 detail="loader: %s" % exc)
     machine.attach(meter)
     # Budget: startup (stack copy) + warmup + region, with headroom.
     budget = budget_factor * (region.warmup + region.length) + 2_000_000
@@ -165,7 +180,7 @@ def measure_elfie_region(artifact: ElfieArtifact, region: RegionSpec,
     cpi = meter.cpi
     if cpi is None:
         detail = ("died: %s" % status.detail if status.kind == "signal"
-                  else "incomplete: %s" % status.detail)
+                  else "incomplete: %s%s" % (status.detail, meter.progress))
         return RegionMeasurement(region=region, cpi=None, ok=False,
                                  detail=detail)
     return RegionMeasurement(region=region, cpi=cpi, ok=True)

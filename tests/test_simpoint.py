@@ -1,7 +1,13 @@
 """Tests for BBV profiling, k-means, SimPoint selection, validation."""
 
+from types import SimpleNamespace
+
 import pytest
 
+import repro.simpoint.validation as validation
+from repro.looppoint import measure_elfie_region_markers
+from repro.machine.loader import StackCollisionError
+from repro.pinplay import RegionSpec
 from repro.simpoint import (
     collect_bbv,
     cluster_vectors,
@@ -11,6 +17,7 @@ from repro.simpoint import (
     validate_with_elfies,
 )
 from repro.simpoint.kmeans import project_vectors
+from repro.simpoint.validation import measure_elfie_region
 from repro.workloads import PhaseSpec, ProgramBuilder
 
 TWO_PHASE = ProgramBuilder(
@@ -174,3 +181,36 @@ def test_validation_measurements_reference_primary_weights(pinpoints_result):
     validation = validate_with_elfies(pinpoints_result, trials=1)
     total_weight = sum(m.region.weight for m in validation.measurements)
     assert total_weight == pytest.approx(1.0)
+
+
+
+def _measure_icount(artifact, region):
+    return measure_elfie_region(artifact, region)
+
+
+def _measure_markers(artifact, region):
+    return measure_elfie_region_markers(artifact, region, [0x1000],
+                                        skip=1, measure=2)
+
+
+@pytest.mark.parametrize("measure", [_measure_icount, _measure_markers])
+def test_region_measurement_load_failures(measure, monkeypatch):
+    """A loader failure is a failed region; any other error propagates."""
+    artifact = SimpleNamespace(image=b"")
+    region = RegionSpec(start=0, length=100, name="r0")
+
+    def collide(image, **kwargs):
+        raise StackCollisionError("stack collided")
+
+    monkeypatch.setattr(validation, "prepare_elfie_machine", collide)
+    measurement = measure(artifact, region)
+    assert not measurement.ok
+    assert measurement.cpi is None
+    assert measurement.detail == "loader: stack collided"
+
+    def broken(image, **kwargs):
+        raise RuntimeError("machine bug")
+
+    monkeypatch.setattr(validation, "prepare_elfie_machine", broken)
+    with pytest.raises(RuntimeError, match="machine bug"):
+        measure(artifact, region)
