@@ -22,25 +22,48 @@ from repro.machine.loader import LoadedImage, LoaderError, load_elf
 from repro.machine.machine import ExitStatus, Machine
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
-from repro.isa.instructions import Op
 
 
 class _RoiWatcher(Tool):
-    """Records each thread's icount when it enters application code."""
+    """Records each thread's icount when it enters application code.
 
-    wants_instructions = True
+    A thread enters when it is about to retire a MARKER or one of the
+    captured ``.tN.start`` addresses.  The start addresses are
+    breakpoints only while some live thread has not entered (a thread
+    created later re-arms them), so a region whose start is a hot loop
+    head runs at full speed once every thread is in.
+    """
+
+    wants_markers = True
 
     def __init__(self, roi_rips: Dict[int, int]) -> None:
-        #: rip -> expected; any thread retiring a MARKER or one of the
-        #: captured start addresses is considered to have entered its ROI.
         self.roi_rips = set(roi_rips.values()) if roi_rips else set()
         self.entry_icount: Dict[int, int] = {}
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
+    def on_attach(self, machine) -> None:
+        self._arm(machine)
+
+    def on_thread_start(self, machine, thread) -> None:
+        self._arm(machine)
+
+    def on_breakpoint(self, machine, thread, pc) -> None:
+        self._enter(machine, thread)
+
+    def on_marker(self, machine, thread, pc, tag) -> None:
+        self._enter(machine, thread)
+
+    def _arm(self, machine) -> None:
+        for rip in self.roi_rips:
+            machine.add_breakpoint(self, rip)
+
+    def _enter(self, machine, thread) -> None:
         if thread.tid in self.entry_icount:
             return
-        if insn.op == Op.MARKER or pc in self.roi_rips:
-            self.entry_icount[thread.tid] = thread.icount
+        self.entry_icount[thread.tid] = thread.icount
+        if all(t.tid in self.entry_icount
+               for t in machine.threads.values() if t.alive):
+            for rip in self.roi_rips:
+                machine.remove_breakpoint(self, rip)
 
 
 @dataclass

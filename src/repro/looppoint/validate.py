@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core.pinball2elf import ElfieArtifact
-from repro.isa.instructions import Op
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
 from repro.pinplay.regions import RegionSpec
@@ -49,12 +48,13 @@ class _MarkerMeter(Tool):
 
     Arms at the ROI marker, then counts executions of the work loop
     heads (every loop-head execution is one crossing, exactly as the
-    profiler counts them at block entry).  Measurement spans crossing
-    counts (skip, skip + measure]; the CPI denominator is the realized
-    global instruction count of that span.
+    profiler counts them at block entry) through breakpoints set on
+    them.  Measurement spans crossing counts (skip, skip + measure];
+    the CPI denominator is the realized global instruction count of
+    that span.
     """
 
-    wants_instructions = True
+    wants_markers = True
 
     def __init__(self, work_addrs, skip: int, measure: int) -> None:
         self.work_addrs = frozenset(work_addrs)
@@ -71,15 +71,16 @@ class _MarkerMeter(Tool):
         self.start_cycles = machine.total_cycles()
         self.start_icount = machine.total_icount()
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if not self._armed:
-            if insn.op is Op.MARKER:
-                self._armed = True
-                if self.skip == 0:
-                    self._begin(machine)
+    def on_marker(self, machine, thread, pc, tag) -> None:
+        if self._armed:
             return
-        if pc not in self.work_addrs:
-            return
+        self._armed = True
+        if self.skip == 0:
+            self._begin(machine)
+        for addr in self.work_addrs:
+            machine.add_breakpoint(self, addr)
+
+    def on_breakpoint(self, machine, thread, pc) -> None:
         self.crossings += 1
         if self.start_cycles is None:
             if self.crossings >= self.skip:

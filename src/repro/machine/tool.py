@@ -5,10 +5,24 @@ receives callbacks as the program executes — the analog of writing a
 Pintool.  The PinPlay logger, the BBV profiler used by SimPoint, and the
 Sniper front-end are all implemented as tools.
 
-Attaching any tool moves the machine onto its instrumented execution
-path, which is measurably slower than the bare path; that cost is the
-reproduction's analog of Pin's dynamic-instrumentation overhead
-(Table I's ~15x/~40x rows are measured, not asserted).
+What a tool asks for decides how fast the machine can run under it.
+Only ``on_instruction`` (``wants_instructions``) keeps the machine on
+the per-instruction slow tier, which is the reproduction's analog of
+Pin's dynamic-instrumentation overhead (Table I's ~15x/~40x rows are
+measured, not asserted).  Every other hook fires on the block and
+compiled tiers too, at the exact retire boundary the slow tier would
+report:
+
+- block, memory and syscall hooks (``wants_blocks``/``wants_memory``;
+  block tools turn off chaining, memory tools the compiled tier);
+- breakpoints (:meth:`Machine.add_breakpoint`) and marker events
+  (``wants_markers``): "a thread is about to retire the instruction at
+  pc X" and "... a MARKER";
+- the machine-wide trigger (:meth:`Machine.set_trigger`): "N
+  instructions have retired, summed over all threads".
+
+A tool that only needs to know when one of those happens should use
+them rather than watch every instruction.
 """
 
 from __future__ import annotations
@@ -28,12 +42,15 @@ class Tool:
     invoking unused hook categories on the hot path.
     """
 
-    #: Set false in subclasses that do not need per-instruction callbacks.
-    wants_instructions: bool = True
+    #: Set true to receive ``on_instruction`` before every instruction
+    #: (forces the per-instruction slow tier).
+    wants_instructions: bool = False
     #: Set true to receive memory-operand callbacks.
     wants_memory: bool = False
     #: Set true to receive basic-block callbacks.
     wants_blocks: bool = False
+    #: Set true to receive ``on_marker`` before each MARKER retires.
+    wants_markers: bool = False
 
     def on_attach(self, machine: "Machine") -> None:
         """Called when the tool is attached to a machine."""
@@ -47,6 +64,30 @@ class Tool:
     def on_instruction(self, machine: "Machine", thread: "Thread",
                        pc: int, insn: "Instruction") -> None:
         """Called before each instruction executes."""
+
+    def on_breakpoint(self, machine: "Machine", thread: "Thread",
+                      pc: int) -> None:
+        """*thread* is about to retire the instruction at *pc*, a
+        breakpoint this tool set with :meth:`Machine.add_breakpoint`.
+
+        Sees the state before the instruction (its ``icount`` and
+        ``cycles``).  A stop requested here lands once the instruction
+        has retired.
+        """
+
+    def on_marker(self, machine: "Machine", thread: "Thread", pc: int,
+                  tag: int) -> None:
+        """*thread* is about to retire a MARKER with operand *tag*
+        (``wants_markers``); same timing as :meth:`on_breakpoint`."""
+
+    def on_trigger(self, machine: "Machine", thread: "Thread") -> None:
+        """The machine-wide retired count reached this tool's trigger
+        (:meth:`Machine.set_trigger`), which is cleared before the call.
+
+        Fires before the next instruction retires, after the scheduler
+        has picked *thread* to run it.  A stop requested here lands once
+        that instruction has retired.
+        """
 
     def on_basic_block(self, machine: "Machine", thread: "Thread",
                        pc: int) -> None:

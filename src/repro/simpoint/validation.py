@@ -25,7 +25,6 @@ from typing import Any, Callable, List, Optional
 
 from repro.core.elfie import prepare_elfie_machine
 from repro.core.pinball2elf import ElfieArtifact
-from repro.isa.instructions import Op
 from repro.machine.loader import LoaderError
 from repro.machine.tool import Tool
 from repro.machine.vfs import FileSystem
@@ -54,38 +53,39 @@ class _RegionMeter(Tool):
     the measurement is unchanged.  Cycle counts come from the simulated
     hardware timing model, so attaching this tool does not perturb the
     measurement (unlike a real Pintool).
+
+    Both boundaries are machine triggers.  The marker itself counts as
+    progress 1, so with no warmup the meter starts one instruction after
+    it; the window then ends ``warmup + length`` past the marker, and at
+    least one instruction after the start.
     """
 
-    wants_instructions = True
+    wants_markers = True
     #: Appended to the detail of an incomplete measurement.
     progress = ""
 
     def __init__(self, warmup: int, length: int) -> None:
         self.warmup = warmup
         self.length = length
-        self.tid: Optional[int] = None
         self.start_cycles: Optional[int] = None
         self.end_cycles: Optional[int] = None
-        self._base = 0
-        self._start_at = 0
-        self._end_at = 0
+        self._end_at: Optional[int] = None
 
-    def on_instruction(self, machine, thread, pc, insn) -> None:
-        if self.tid is None:
-            if insn.op is Op.MARKER:
-                self.tid = thread.tid
-                self._base = machine.total_icount()
-                self._start_at = self.warmup
-                self._end_at = self.warmup + self.length
+    def on_marker(self, machine, thread, pc, tag) -> None:
+        if self._end_at is not None:
             return
-        progress = machine.total_icount() - self._base
+        base = machine.total_icount()
+        self._end_at = base + self.warmup + self.length
+        machine.set_trigger(self, base + max(self.warmup, 1))
+
+    def on_trigger(self, machine, thread) -> None:
         if self.start_cycles is None:
-            if progress >= self._start_at:
-                self.start_cycles = machine.total_cycles()
+            self.start_cycles = machine.total_cycles()
+            machine.set_trigger(self, max(self._end_at,
+                                          machine.total_icount() + 1))
             return
-        if self.end_cycles is None and progress >= self._end_at:
-            self.end_cycles = machine.total_cycles()
-            machine.request_stop("region measured")
+        self.end_cycles = machine.total_cycles()
+        machine.request_stop("region measured")
 
     @property
     def cpi(self) -> Optional[float]:
