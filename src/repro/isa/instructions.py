@@ -238,6 +238,10 @@ BRANCH_OPS = frozenset(
     {Op.JMP, Op.JZ, Op.JNZ, Op.JL, Op.JGE, Op.JG, Op.JLE, Op.JB, Op.JAE, Op.CALL}
 )
 
+#: Every control transfer: the REL32 branches plus the register,
+#: return and absolute jumps.  A basic block ends at (and includes) one.
+CONTROL_TRANSFER_OPS = BRANCH_OPS | {Op.JMP_R, Op.CALL_R, Op.RET, Op.JMPABS}
+
 #: Conditional branches only (used by branch-predictor models).
 COND_BRANCH_OPS = frozenset(
     {Op.JZ, Op.JNZ, Op.JL, Op.JGE, Op.JG, Op.JLE, Op.JB, Op.JAE}
@@ -288,8 +292,7 @@ class Instruction:
 
     @property
     def is_branch(self) -> bool:
-        return (self.op in BRANCH_OPS
-                or self.op in (Op.JMP_R, Op.CALL_R, Op.RET, Op.JMPABS))
+        return self.op in CONTROL_TRANSFER_OPS
 
     @property
     def is_cond_branch(self) -> bool:
