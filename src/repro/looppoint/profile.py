@@ -76,7 +76,6 @@ class LoopSlice:
 class LoopPointProfiler(Tool):
     """Counts marker crossings and cuts marker-delimited slices."""
 
-    wants_instructions = False
     wants_blocks = True
 
     def __init__(self, marker_map: MarkerMap, slice_markers: int,

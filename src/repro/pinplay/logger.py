@@ -62,8 +62,6 @@ class LogOptions:
 class _RecordingTool(Tool):
     """Tool attached for the duration of the region capture."""
 
-    wants_instructions = False
-
     def __init__(self, lazy: bool) -> None:
         self.lazy = lazy
         self.wants_instructions = lazy  # code-page tracking needs the PC

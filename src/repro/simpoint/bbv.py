@@ -47,7 +47,6 @@ class _BlockCounter(Tool):
     base — ASLR — produces identical vectors.
     """
 
-    wants_instructions = False
     wants_blocks = True
 
     def __init__(self, module_base: int = 0) -> None:

@@ -118,7 +118,6 @@ class DirtyPageTracker(Tool):
     hashes the full image rather than trusting this set.
     """
 
-    wants_instructions = False
     wants_memory = True
     wants_blocks = False
 
